@@ -3,8 +3,8 @@
 A numpy library for online and stochastic convex optimization built around
 an entropy-like regularizer whose mirror maps update magnitudes
 multiplicatively and signs like a p-norm method.  It bundles the entropic
-geometry, Lambert-function proximal steps, sorted l1-ball Bregman
-projection, spectral (matrix) learners, online-to-batch acceleration,
+geometry, Lambert-function proximal steps, exact l1-ball Bregman
+projections, spectral (matrix) learners, online-to-batch acceleration,
 diagonal-preconditioner baselines, two-point gradient estimation, and a
 benchmark harness with a CLI.
 """

@@ -5,7 +5,9 @@ The diagonal family accumulates per-coordinate squared gradients
 ``h_ii = 1e-6 + sum_s g_{s,i}^2`` (including the current round, so the very
 first step is already sensibly scaled) and preconditions by ``1/sqrt(h)``.
 Ball-mode feasibility uses an exact weighted-Euclidean projection onto the
-l1 ball via bisection on the dual variable.
+l1 ball: a scan of the sorted breakpoints of its dual variable, which at
+large dimension first discards coordinates that a cheap lower bound on the
+threshold proves inactive.
 
 The signed multiplicative-weights learner maintains 2d nonnegative weights
 of total mass D; its decision is the difference of the positive and
@@ -38,6 +40,11 @@ FeasibleMode = BallConstraint | CompositeRegularizer | None
 
 _H_FLOOR = 1e-6
 
+# The weighted projection filters its breakpoints from this dimension on,
+# bounding the threshold with the top 1/_FILTER_SHARE of them.
+_FILTER_MIN_DIM = 1024
+_FILTER_SHARE = 16
+
 
 @dataclass(frozen=True)
 class DiagProxState:
@@ -65,21 +72,13 @@ def diag_init(dim: int, x1=None) -> DiagProxState:
     )
 
 
-def weighted_l1_ball_project(y, weights, radius: float):
-    """Projection of ``y`` onto the l1 ball in the ``diag(weights)`` metric.
+def _breakpoint_threshold(abs_y, w, radius: float) -> float:
+    """Exact threshold ``tau`` from a scan of the sorted breakpoints.
 
-    Minimizes ``sum_i w_i * (x_i - y_i)^2`` subject to ``||x||_1 <= radius``.
-    The solution is the weighted soft threshold ``max(|y_i| - tau/w_i, 0)``;
-    the dual variable ``tau`` is bracketed on the sorted grid of its
-    breakpoints ``w_i * |y_i|`` (where the remaining mass is piecewise
-    linear) and solved exactly on the active segment.
+    ``abs_y`` and ``w`` may omit coordinates whose breakpoint lies at or
+    below the threshold: the suffix sums run from the largest breakpoint
+    down, so the result is the same as on the full arrays.
     """
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    abs_y = np.abs(y)
-    if float(np.sum(abs_y)) <= radius:
-        return y.copy()
-
     breaks = w * abs_y
     order = np.argsort(breaks)
     ts = breaks[order]
@@ -91,8 +90,56 @@ def weighted_l1_ball_project(y, weights, radius: float):
     mass_at[:-1] = suf_ay[1:] - ts[:-1] * suf_iw[1:]
     mass_at[-1] = 0.0
     j = int(np.argmax(mass_at <= radius))  # first segment whose mass drops below radius
-    tau = (suf_ay[j] - radius) / suf_iw[j]
-    return np.sign(y) * np.maximum(abs_y - tau / w, 0.0)
+    return (suf_ay[j] - radius) / suf_iw[j]
+
+
+def _threshold_candidates(abs_y, w, radius: float):
+    """Indices of the coordinates that may be active, a superset of the support.
+
+    Any subset ``S`` bounds the threshold from below,
+    ``(sum_S |y_i| - radius) / sum_S 1/w_i <= tau``, so a coordinate whose
+    breakpoint ``w_i |y_i|`` lies below that bound is inactive.  ``S`` is the
+    top ``d/_FILTER_SHARE`` breakpoints, found by partition instead of a sort.
+    """
+    breaks = w * abs_y
+    kth = abs_y.size - abs_y.size // _FILTER_SHARE
+    top = np.argpartition(breaks, kth)[kth:]
+    top_breaks = breaks[top]
+    bound = (float(np.sum(abs_y[top])) - radius) / float(np.sum(1.0 / w[top]))
+    # the largest breakpoint is always active; rounding must not drop it
+    bound = min(bound, float(np.max(top_breaks)))
+    if top_breaks[0] < bound:  # top[0] is the partition pivot, the smallest of the top
+        return top[top_breaks >= bound]
+    return np.flatnonzero(breaks >= bound)
+
+
+def weighted_l1_ball_project(y, weights, radius: float):
+    """Projection of ``y`` onto the l1 ball in the ``diag(weights)`` metric.
+
+    Minimizes ``sum_i w_i * (x_i - y_i)^2`` subject to ``||x||_1 <= radius``.
+    The solution is the weighted soft threshold ``max(|y_i| - tau/w_i, 0)``;
+    the dual variable ``tau`` is bracketed on the sorted grid of its
+    breakpoints ``w_i * |y_i|`` (where the remaining mass is piecewise
+    linear) and solved exactly on the active segment.  At
+    ``d >= _FILTER_MIN_DIM`` only the coordinates that survive a lower bound
+    on ``tau`` are sorted (:func:`_threshold_candidates`), with the same
+    result.
+    """
+    y = np.asarray(y, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    abs_y = np.abs(y)
+    if float(np.sum(abs_y)) <= radius:
+        return y.copy()
+
+    if y.size < _FILTER_MIN_DIM:
+        tau = _breakpoint_threshold(abs_y, w, radius)
+        return np.sign(y) * np.maximum(abs_y - tau / w, 0.0)
+    idx = _threshold_candidates(abs_y, w, radius)
+    cand_y, cand_w = abs_y[idx], w[idx]
+    tau = _breakpoint_threshold(cand_y, cand_w, radius)
+    out = np.zeros_like(y)
+    out[idx] = np.sign(y[idx]) * np.maximum(cand_y - tau / cand_w, 0.0)
+    return out
 
 
 def euclidean_nuclear_ball_project(y, radius: float):
@@ -195,7 +242,8 @@ class EgPmState:
     """Signed multiplicative-weights state in log space.
 
     ``log_weights`` holds the 2d logits of the positive and negative
-    halves; the decision is ``D * (softmax_+ - softmax_-)``.
+    halves, normalized to log-sum-exp 0; the decision is
+    ``D * (softmax_+ - softmax_-)``.
     """
 
     log_weights: np.ndarray
@@ -223,11 +271,14 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     doubled = 0.5 * radius * np.concatenate([g, -g])
     logits = state.log_weights - stepsize * doubled
     logits = logits - np.max(logits)
-    weights = np.exp(logits)
-    weights = radius * weights / np.sum(weights)
+    mass = np.exp(logits)
+    total = float(np.sum(mass))
+    weights = radius * mass / total
     x = weights[:d] - weights[d:]
     new_state = EgPmState(
-        log_weights=np.log(np.maximum(weights / radius, 1e-300)),
+        # normalized logits, not logs of the weights: a weight that
+        # underflows keeps its log-mass and can grow back
+        log_weights=logits - math.log(total),
         sum_sq=sum_sq,
         round=state.round + 1,
     )

@@ -11,7 +11,11 @@ Two solvers cover the composite objectives used throughout the package:
 Both have ``*_from_log`` twins that take ``ln(|y_i|/beta + 1)`` directly.
 The learners always use those: the quantity equals ``|z_i|/alpha`` of the
 dual point exactly, so huge dual coordinates never need to be mapped into
-the (overflowing) primal space just to be shrunk back down.
+the (overflowing) primal space just to be shrunk back down.  The
+log-domain projection needs no sort: a pivot loop in the style of Michelot
+(see Duchi et al. 2008 and Condat 2016) shrinks an active set onto the
+support in at most ``d`` passes, each linear in the active set; on the
+learners' inputs it stops after two or three.
 """
 
 from dataclasses import dataclass
@@ -30,6 +34,8 @@ __all__ = [
     "l1_ball_project_from_log",
     "project_or_pass",
 ]
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -148,22 +154,40 @@ def l1_ball_project_from_log(log_scale, signs, ball: BallConstraint, p: EntropyP
     Works entirely on ``L_i = ln(|y_i|/beta + 1)``, so arbitrarily large
     dual coordinates project without ever forming ``|y_i|``.  Output
     coordinates are bounded by the radius, hence always representable.
+
+    The support is found without sorting.  Starting from the active set
+    ``A`` of all coordinates, each pass takes ``S = ln sum_A exp(L_i)`` and
+    ``k = |A|`` and drops every ``i`` with
+    ``L_i <= S + ln(beta) - ln(radius + k*beta)``; it stops at the first
+    pass that drops nothing, and the output is
+    ``max((radius + k*beta) * exp(L - S) - beta, 0) * signs``.  Dropping a
+    coordinate only raises that threshold, so the active set shrinks onto
+    the exact support from above; the largest coordinate never leaves it
+    (``S - max L <= ln k < ln(radius/beta + k)``), so the loop ends within
+    ``d`` passes.  The passes run on ``exp(L - max L)``, where the test
+    reads ``exp(L_i - max L) <= sum_A exp(L - max L) * beta/(radius + k*beta)``.
+
+    Raises :class:`NumericRangeError` when ``log_scale`` is not finite.
     """
     L = np.asarray(log_scale, dtype=float)
     signs = np.asarray(signs, dtype=float)
-    d = L.size
+    if not np.all(np.isfinite(L)):
+        raise NumericRangeError("l1-ball projection got a non-finite log scale")
     radius = ball.radius
     beta = p.beta
 
-    Ls = np.sort(L)
-    # suffix log-sum-exp: S[j] = ln sum_{i >= j} exp(Ls[i])
-    S = np.logaddexp.accumulate(Ls[::-1])[::-1]
-    counts = np.arange(d, 0, -1, dtype=float)
-    # theta(j) > 0  <=>  Ls[j] + ln(D + k*beta) > ln(beta) + S[j]
-    crit = Ls + np.log(radius + counts * beta) - np.log(beta) - S
-    rho = int(np.argmax(crit > 0))
-    k = d - rho
-    out = np.maximum((radius + k * beta) * np.exp(L - S[rho]) - beta, 0.0)
+    ratios = np.exp(L - np.max(L))  # the largest coordinate has ratio exactly 1
+    active = ratios
+    for _ in range(L.size):
+        k = active.size
+        total = float(np.sum(active))
+        # capped below 1 so that rounding cannot drop the largest coordinate
+        cut = min(total * beta / (radius + k * beta), _BELOW_ONE)
+        kept = active[active > cut]
+        if kept.size == k:
+            break
+        active = kept
+    out = np.maximum((radius + k * beta) / total * ratios - beta, 0.0)
     return out * signs
 
 

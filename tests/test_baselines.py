@@ -19,6 +19,33 @@ from expopt import (
 )
 
 
+def sorted_scan_project(y, w, radius):
+    """Reference: the weighted projection by one full sort of the breakpoints."""
+    abs_y = np.abs(y)
+    breaks = w * abs_y
+    order = np.argsort(breaks)
+    ts = breaks[order]
+    suf_ay = np.cumsum(abs_y[order][::-1])[::-1]
+    suf_iw = np.cumsum((1.0 / w[order])[::-1])[::-1]
+    mass_at = np.append(suf_ay[1:] - ts[:-1] * suf_iw[1:], 0.0)
+    j = int(np.argmax(mass_at <= radius))
+    tau = (suf_ay[j] - radius) / suf_iw[j]
+    return np.sign(y) * np.maximum(abs_y - tau / w, 0.0)
+
+
+def bisection_project(y, w, radius, iters=200):
+    """Reference: bisection on the threshold tau of ``max(|y_i| - tau/w_i, 0)``."""
+    abs_y = np.abs(y)
+    lo, hi = 0.0, float(np.max(w * abs_y))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.maximum(abs_y - mid / w, 0.0)) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return np.sign(y) * np.maximum(abs_y - hi / w, 0.0)
+
+
 class TestWeightedProjection:
     def test_pass_through_inside(self):
         y = np.array([0.2, -0.3])
@@ -82,6 +109,71 @@ class TestWeightedProjection:
             want = res.x[:d] - res.x[d:]
             got = weighted_l1_ball_project(y, w, radius)
             assert np.allclose(got, want, atol=1e-6)
+
+    def test_large_d_matches_unfiltered_scan_and_bisection(self):
+        rng = np.random.default_rng(68)
+        for d in (1, 2, 17, 500, 1023, 1024, 1025, 4096, 20_000):
+            y = rng.standard_normal(d) * rng.exponential(1.0, d)
+            w = 10.0 ** rng.uniform(-3, 3, d)  # weights spanning 1e-3..1e3
+            total = float(np.sum(np.abs(y)))
+            for share in (0.999, 0.5, 0.05, 1e-5):  # support from about d down to 1
+                radius = share * total
+                got = weighted_l1_ball_project(y, w, radius)
+                assert np.array_equal(got, sorted_scan_project(y, w, radius))
+                want = bisection_project(y, w, radius)
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * total)
+                assert np.sum(np.abs(got)) == pytest.approx(radius, rel=1e-9, abs=1e-12 * total)
+
+    def test_large_d_ties_and_extreme_supports(self):
+        rng = np.random.default_rng(69)
+        d = 20_000
+        signs = rng.choice([-1.0, 1.0], d)
+        few = rng.choice([0.5, 1.0, 2.0], d) * signs  # ties in |y| and in w*|y|
+        equal = np.full(d, 1.5) * signs
+        spike = rng.uniform(0.0, 1e-3, d) * signs
+        spike[123] = 50.0
+        cases = [
+            (few, rng.choice([1.0, 4.0], d), 0.2 * np.sum(np.abs(few))),
+            (equal, np.ones(d), 0.7 * d * 1.5),  # uniform shrink: every output 0.7 * 1.5
+            (spike, np.ones(d), 1.0),  # support of size 1
+            (equal, 10.0 ** rng.uniform(-3, 3, d), (d - 0.5) * 1.5),  # support of size d
+        ]
+        for y, w, radius in cases:
+            got = weighted_l1_ball_project(y, w, radius)
+            want = bisection_project(y, w, radius)
+            total = float(np.sum(np.abs(y)))
+            assert np.allclose(got, sorted_scan_project(y, w, radius), rtol=1e-12, atol=1e-14 * total)
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * total)
+        assert np.allclose(weighted_l1_ball_project(*cases[1]), 0.7 * equal)
+        assert np.flatnonzero(weighted_l1_ball_project(*cases[2])).tolist() == [123]
+        assert np.count_nonzero(weighted_l1_ball_project(*cases[3])) == d
+
+    def test_filter_bound_equal_to_threshold(self):
+        # the top d/16 breakpoints are exactly the support, so the lower
+        # bound they give is the threshold itself, just below the smallest
+        # active breakpoint
+        rng = np.random.default_rng(70)
+        d = 16_000
+        m = d // 16
+        y = rng.uniform(0.0, 0.5, d)
+        y[:m] = np.linspace(1.0, 2.0, m)
+        tau = 1.0 - 1e-6
+        radius = float(np.sum(y[:m] - tau))
+        got = weighted_l1_ball_project(y, np.ones(d), radius)
+        assert np.count_nonzero(got) == m
+        assert np.allclose(got[:m], y[:m] - tau, rtol=0.0, atol=1e-9)
+        assert np.array_equal(got, sorted_scan_project(y, np.ones(d), radius))
+
+    def test_filter_bound_rounding_above_every_breakpoint(self):
+        # equal breakpoints and a tiny radius: the lower bound computes an
+        # ulp above the largest breakpoint, which must still be kept
+        d = 2048
+        y = -np.ones(d)
+        w = np.full(d, 7.0)
+        got = weighted_l1_ball_project(y, w, 1e-20)
+        assert np.array_equal(got, sorted_scan_project(y, w, 1e-20))
+        # every coordinate is |y_i| - tau/w_i with both terms near 1
+        assert np.all(got <= 0.0) and np.all(np.abs(got) <= 1e-14)
 
     def test_nuclear_variant(self):
         rng = np.random.default_rng(62)
@@ -170,6 +262,15 @@ class TestEgPm:
         for _ in range(1000):
             x = learner.step(rng.uniform(-3, 3, 4))
             assert np.sum(np.abs(x)) <= 1.5 + 1e-10
+
+    def test_cancelling_gradients_return_to_origin(self):
+        # the cumulative gradient is zero again, so the weights are uniform;
+        # flooring the weights at 1e-300 in the first step used to lose the
+        # mass of the positive half for good
+        learner = EgPm(2, 1.0, stepsize=1.0)
+        learner.step(np.array([2000.0, 0.0]))
+        x = learner.step(np.array([-2000.0, 0.0]))
+        assert np.allclose(x, [0.0, 0.0], atol=1e-12)
 
     def test_weights_mass_conserved(self):
         rng = np.random.default_rng(67)

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expopt import (
     BallConstraint,
     CompositeRegularizer,
     EntropyParams,
+    NumericRangeError,
     bregman_div,
     elastic_net_prox,
     elastic_net_prox_from_log,
@@ -229,3 +232,129 @@ class TestL1BallProjection:
             counts.append(ops)
         assert counts[0]["sorts"] == counts[1]["sorts"] == 1
         assert counts[0]["passes"] == counts[1]["passes"]
+
+
+def sorted_log_projection(L, signs, radius, beta):
+    """Reference: the sort-based log-domain projection the pivot replaced.
+
+    Sorts ``L``, takes suffix log-sum-exps and finds the support breakpoint
+    by a linear scan, as :func:`l1_ball_project` does on the primal side.
+    """
+    d = L.size
+    Ls = np.sort(L)
+    S = np.logaddexp.accumulate(Ls[::-1])[::-1]
+    counts = np.arange(d, 0, -1, dtype=float)
+    crit = Ls + np.log(radius + counts * beta) - np.log(beta) - S
+    rho = int(np.argmax(crit > 0))
+    k = d - rho
+    return np.maximum((radius + k * beta) * np.exp(L - S[rho]) - beta, 0.0) * signs
+
+
+def pivot_cases():
+    """(log_scale, signs, radius, beta) cases across sizes and support shapes."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for d in (1, 2, 3, 17, 500, 4096, 20_000):
+        beta = 1.0 / d
+        L = rng.exponential(2.0, d)
+        signs = rng.choice([-1.0, 1.0], d)
+        mass = float(np.sum(beta * np.expm1(L)))
+        for share in (0.999, 0.5, 0.05, 1e-4):  # support from about d down to 1
+            cases.append((L, signs, share * mass, beta))
+        # ties: a handful of distinct magnitudes
+        Lt = rng.choice(rng.exponential(2.0, 4), d)
+        cases.append((Lt, signs, 0.3 * float(np.sum(beta * np.expm1(Lt))), beta))
+        # all magnitudes equal, and a single dominant coordinate
+        cases.append((np.full(d, 3.0), signs, 0.4 * d * beta * math.expm1(3.0), beta))
+        spike = np.full(d, 0.5)
+        spike[d // 2] = 40.0
+        cases.append((spike, signs, 1.0, beta))
+    return cases
+
+
+class TestL1BallPivot:
+    """The sort-free log-domain projection against sorted references."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_scale_raises(self, bad):
+        L = np.array([1.0, bad, 2.0])
+        with pytest.raises(NumericRangeError):
+            l1_ball_project_from_log(L, np.ones(3), BallConstraint(1.0), EntropyParams(1.0, 0.5))
+
+    def test_largest_coordinate_stays_active_under_rounding(self):
+        # radius + k*beta rounds to k*beta, so the drop threshold computes
+        # to the largest coordinate's own ratio; it must still stay active
+        L = np.full(4, 2.0)
+        out = l1_ball_project_from_log(L, np.ones(4), BallConstraint(1e-20), EntropyParams(1.0, 1.0))
+        assert np.all(np.isfinite(out))
+        assert np.all(out >= 0.0)
+        assert np.sum(out) <= 1e-15
+
+    def test_matches_sorted_primal(self):
+        for L, signs, radius, beta in pivot_cases():
+            p = EntropyParams(1.0, beta)
+            y = beta * np.expm1(L) * signs
+            if np.sum(np.abs(y)) <= radius:
+                continue
+            want = l1_ball_project(y, BallConstraint(radius), p)
+            got = l1_ball_project_from_log(L, signs, BallConstraint(radius), p)
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-10 * radius)
+            assert np.sum(np.abs(got)) == pytest.approx(radius, rel=1e-9)
+
+    def test_supports_of_size_one_and_d(self):
+        p = EntropyParams(1.0, 0.01)
+        d = 20_000
+        L = np.random.default_rng(22).uniform(1.0, 2.0, d)
+        L[7] = 30.0
+        one = l1_ball_project_from_log(L, np.ones(d), BallConstraint(0.5), p)
+        assert np.flatnonzero(one).tolist() == [7]
+        assert one[7] == pytest.approx(0.5, rel=1e-12)
+        L[7] = 1.5
+        total = float(np.sum(p.beta * np.expm1(L)))
+        full = l1_ball_project_from_log(L, np.ones(d), BallConstraint(0.99 * total), p)
+        assert np.count_nonzero(full) == d
+
+    def test_huge_log_scales_match_sorted_reference(self):
+        rng = np.random.default_rng(23)
+        for d in (1, 5, 300, 20_000):
+            p = EntropyParams(1.0, 1.0 / d)
+            L = 900.0 - rng.exponential(3.0, d)
+            signs = rng.choice([-1.0, 1.0], d)
+            for radius in (1e-3, 1.0, 50.0):
+                got = l1_ball_project_from_log(L, signs, BallConstraint(radius), p)
+                want = sorted_log_projection(L, signs, radius, p.beta)
+                assert np.all(np.isfinite(got))
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-10 * radius)
+                assert np.sum(np.abs(got)) == pytest.approx(radius, rel=1e-9)
+
+    def test_optimality_conditions_in_log_domain(self):
+        # the projection's KKT conditions: L_i - ln(|x_i|/beta + 1) is one
+        # constant on the support, and no L_j off the support exceeds it
+        for L, signs, radius, beta in pivot_cases():
+            p = EntropyParams(1.0, beta)
+            if float(np.sum(beta * np.expm1(L))) <= radius:
+                continue
+            x = l1_ball_project_from_log(L + 300.0, signs, BallConstraint(radius), p)
+            on = x != 0
+            gap = (L + 300.0)[on] - np.log1p(np.abs(x[on]) / beta)
+            assert np.ptp(gap) <= 1e-9 * np.max(np.abs(gap))
+            if not np.all(on):
+                assert np.max((L + 300.0)[~on]) <= np.min(gap) + 1e-9 * np.max(np.abs(gap))
+            assert np.all(np.sign(x[on]) == signs[on])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=200),
+        share=st.floats(1e-6, 0.999),
+        beta=st.floats(1e-3, 10.0),
+        shift=st.sampled_from([0.0, 880.0]),
+    )
+    def test_property_matches_sorted_reference(self, values, share, beta, shift):
+        L = np.array(values) + shift
+        signs = np.where(np.arange(L.size) % 2 == 0, 1.0, -1.0)
+        radius = share * float(np.sum(beta * np.expm1(np.array(values))))
+        assume(radius > 0)
+        got = l1_ball_project_from_log(L, signs, BallConstraint(radius), EntropyParams(1.0, beta))
+        want = sorted_log_projection(L, signs, radius, beta)
+        # the output formula cancels terms of size radius + k*beta
+        assert np.allclose(got, want, rtol=1e-8, atol=1e-9 * (radius + L.size * beta))
