@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import NumericRangeError
 from .prox import BallConstraint, CompositeRegularizer
 
 __all__ = [
@@ -124,12 +125,19 @@ def weighted_l1_ball_project(y, weights, radius: float):
     ``d >= _FILTER_MIN_DIM`` only the coordinates that survive a lower bound
     on ``tau`` are sorted (:func:`_threshold_candidates`), with the same
     result.
+
+    Raises :class:`NumericRangeError` when ``||y||_1`` is not finite (a NaN
+    or infinite coordinate, or a sum that overflows); the check is the
+    feasibility test's own sum.
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(weights, dtype=float)
     abs_y = np.abs(y)
-    if float(np.sum(abs_y)) <= radius:
+    norm = float(np.sum(abs_y))
+    if norm <= radius:
         return y.copy()
+    if not math.isfinite(norm):
+        raise NumericRangeError("weighted l1-ball projection needs a finite l1 norm")
 
     if y.size < _FILTER_MIN_DIM:
         tau = _breakpoint_threshold(abs_y, w, radius)
@@ -261,10 +269,14 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     The default stepsize is the adaptive ``1/sqrt(sum_s ||g_s||_inf^2)``
     including the current round.  Returns the new state and the signed
     difference of the two weight halves (l1 norm at most ``radius``).
+
+    Raises :class:`NumericRangeError` when ``g`` is not finite.
     """
     g = np.asarray(g, dtype=float)
     d = g.size
     gmax = float(np.max(np.abs(g))) if d else 0.0
+    if not math.isfinite(gmax):
+        raise NumericRangeError("eg_pm step got a non-finite gradient")
     sum_sq = state.sum_sq + gmax**2
     if stepsize is None:
         stepsize = 1.0 / math.sqrt(1e-12 + sum_sq)

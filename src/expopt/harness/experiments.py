@@ -106,36 +106,21 @@ class TrialFailure:
     error: str
 
 
-def _logistic_loss_grad(w, x, y):
-    """Loss and gradient of one logistic round, sharing the margin."""
-    m = y * float(np.dot(w, x))
-    loss = float(np.logaddexp(0.0, -m))
-    coeff = -y * float(streams._sigmoid(np.array([-m]))[0])
-    return loss, coeff * x
-
-
-def _multitask_loss_grad(w, x_t, y_t):
-    m = y_t * np.einsum("kd,dk->k", x_t, w)
-    loss = float(np.sum(np.logaddexp(0.0, -m)))
-    coeff = -y_t * streams._sigmoid(-m)
-    return loss, x_t.T * coeff
-
-
 def _run_online_algorithm(name, spec, stream, comp_losses, radius, trial):
     """Shared loop for the regret experiments; returns (records, failure)."""
     if spec.kind == "logistic":
         learner = registry.build_vector_learner(name, spec.dim, radius)
-        loss_grad = lambda w, t: _logistic_loss_grad(w, stream.features[t], stream.labels[t])
+        oracle = streams.logistic_loss_grad
     else:
         learner = registry.build_matrix_learner(name, spec.dim, spec.tasks, radius)
-        loss_grad = lambda w, t: _multitask_loss_grad(w, stream.features[t], stream.labels[t])
+        oracle = streams.multitask_loss_grad
 
     records = []
     cum = 0.0
     for t in range(spec.horizon):
         x = learner.x
         try:
-            loss, grad = loss_grad(x, t)
+            loss, grad = oracle(x, stream.features[t], stream.labels[t])
             cum += loss - comp_losses[t]
             learner.step(grad)
         except _NUMERIC_ERRORS as exc:

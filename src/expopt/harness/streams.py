@@ -23,8 +23,10 @@ __all__ = [
     "gen_blackbox_problem",
     "logistic_loss",
     "logistic_grad",
+    "logistic_loss_grad",
     "multitask_loss",
     "multitask_grad",
+    "multitask_loss_grad",
 ]
 
 
@@ -35,6 +37,17 @@ def _sigmoid(m):
     em = np.exp(m[~pos])
     out[~pos] = em / (1.0 + em)
     return out
+
+
+def _sigmoid_scalar(m: float) -> float:
+    """:func:`_sigmoid` of one float, bit for bit.
+
+    It goes through the same ``np.exp``; ``math.exp`` rounds differently.
+    """
+    if m >= 0:
+        return 1.0 / (1.0 + float(np.exp(-m)))
+    em = float(np.exp(m))
+    return em / (1.0 + em)
 
 
 @dataclass(frozen=True)
@@ -68,15 +81,20 @@ def gen_logistic_stream(
     return LogisticStream(w_star=w_star, features=features, labels=labels)
 
 
+def logistic_loss_grad(w, x, y):
+    """Loss ``ln(1 + exp(-y * w.x))`` and its gradient, sharing the margin."""
+    m = y * float(np.dot(w, x))
+    loss = float(np.logaddexp(0.0, -m))
+    return loss, (-y * _sigmoid_scalar(-m)) * x
+
+
 def logistic_loss(w, x, y) -> float:
     """ln(1 + exp(-y * w.x)) evaluated stably."""
-    return float(np.logaddexp(0.0, -y * float(np.dot(w, x))))
+    return logistic_loss_grad(w, x, y)[0]
 
 
 def logistic_grad(w, x, y) -> np.ndarray:
-    m = -y * float(np.dot(w, x))
-    coeff = -y * float(_sigmoid(np.array([m]))[0])
-    return coeff * x
+    return logistic_loss_grad(w, x, y)[1]
 
 
 @dataclass(frozen=True)
@@ -117,16 +135,20 @@ def gen_multitask_stream(
     )
 
 
+def multitask_loss_grad(w, features_t, labels_t):
+    """Sum of the per-task logistic losses at round t, and its gradient."""
+    m = labels_t * np.einsum("kd,dk->k", features_t, w)
+    loss = float(np.sum(np.logaddexp(0.0, -m)))
+    return loss, features_t.T * (-labels_t * _sigmoid(-m))
+
+
 def multitask_loss(w, features_t, labels_t) -> float:
     """Sum of the per-task logistic losses at round t."""
-    margins = np.einsum("kd,dk->k", features_t, w)
-    return float(np.sum(np.logaddexp(0.0, -labels_t * margins)))
+    return multitask_loss_grad(w, features_t, labels_t)[0]
 
 
 def multitask_grad(w, features_t, labels_t) -> np.ndarray:
-    margins = np.einsum("kd,dk->k", features_t, w)
-    coeff = -labels_t * _sigmoid(-labels_t * margins)
-    return features_t.T * coeff
+    return multitask_loss_grad(w, features_t, labels_t)[1]
 
 
 @dataclass(frozen=True)
@@ -146,13 +168,20 @@ class BlackboxComposite:
     reg: CompositeRegularizer
 
     def piece_values(self, x) -> np.ndarray:
-        diffs = x[None, :] - self.centers
-        transformed = np.einsum("pij,pj->pi", self.mats, diffs)
-        return 0.5 * np.sum(transformed**2, axis=1) + self.offsets
+        """Values ``q_j(x)`` of the pieces at a float array ``x``."""
+        t = np.einsum("pij,pj->pi", self.mats, x - self.centers)
+        return 0.5 * np.add.reduce(t * t, axis=1) + self.offsets
 
     def smooth(self, x) -> float:
-        """Black-box part: max of the quadratic pieces, hinged at -kappa."""
-        return float(max(np.max(self.piece_values(np.asarray(x, dtype=float))), -self.kappa))
+        """Black-box part: max of the quadratic pieces, hinged at -kappa.
+
+        The one function the two-point estimator evaluates, ``b + 1`` times
+        per estimate, so it calls the ufuncs and methods directly
+        (``t * t``, ``np.add.reduce``, ``.max()``) rather than through the
+        ``**``, ``np.sum`` and ``np.max`` wrappers; the floating-point
+        operations, and so the value, are the same.
+        """
+        return float(max(self.piece_values(np.asarray(x, dtype=float)).max(), -self.kappa))
 
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=float)

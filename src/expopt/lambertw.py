@@ -78,7 +78,10 @@ def _w0_log_array(s):
 
     Newton iteration on ``h(v) = exp(v) + v - s`` in ``v = ln w``; ``h`` is
     convex and increasing, and both seeds below start right of the root, so
-    the iteration is monotone and safe for any finite ``s``.
+    the iteration is monotone and safe for any finite ``s``.  Also returns
+    the number of iterations run.  Each elastic-net prox call runs this
+    loop on its active coordinates, so the loop uses ``abs`` and
+    ``.all()`` rather than the ``np.abs``/``np.all`` wrappers.
     """
     s = np.asarray(s, dtype=float)
     v = np.where(s > 1.0, np.log(np.maximum(s, 1.0)), s)
@@ -87,7 +90,7 @@ def _w0_log_array(s):
         ev = np.exp(v)
         step = (ev + v - s) / (ev + 1.0)
         v = v - step
-        if np.all(np.abs(step) <= 1e-16 * (2.0 + np.abs(v))):
+        if (abs(step) <= 1e-16 * (2.0 + abs(v))).all():
             break
     return np.exp(v), its
 

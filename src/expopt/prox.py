@@ -126,6 +126,9 @@ def l1_ball_project(y, ball: BallConstraint, p: EntropyParams, ops: dict | None 
     coordinates by a common factor.  ``ops``, when given, is filled with
     the number of sorts and full-array passes performed (the work is one
     sort plus a constant number of O(d) passes).
+
+    Raises :class:`NumericRangeError` when ``||y||_1`` is not finite (a NaN
+    or infinite coordinate, or a sum that overflows).
     """
     y = np.asarray(y, dtype=float)
     d = y.size
@@ -135,6 +138,8 @@ def l1_ball_project(y, ball: BallConstraint, p: EntropyParams, ops: dict | None 
     abs_y = np.abs(y)
     mags = np.sort(abs_y)  # ascending
     suffix = np.cumsum(mags[::-1])[::-1]  # suffix[j] = sum_{i >= j} mags[i]
+    if not np.isfinite(suffix[0]):
+        raise NumericRangeError("l1-ball projection needs a finite l1 norm")
     counts = np.arange(d, 0, -1, dtype=float)  # d - j + 1 for j = 1..d
     thresh = mags * (radius + counts * beta) + beta * radius - beta * suffix
     positive = thresh > 0
@@ -192,7 +197,11 @@ def l1_ball_project_from_log(log_scale, signs, ball: BallConstraint, p: EntropyP
 
 
 def project_or_pass(y, ball: BallConstraint, p: EntropyParams):
-    """Checked projection: returns ``y`` unchanged when already feasible."""
+    """Checked projection: returns ``y`` unchanged when already feasible.
+
+    A non-finite ``||y||_1`` is never feasible, so it raises
+    :class:`NumericRangeError` from :func:`l1_ball_project`.
+    """
     y = np.asarray(y, dtype=float)
     if np.sum(np.abs(y)) <= ball.radius:
         return y.copy()

@@ -9,6 +9,7 @@ from expopt import (
     BallConstraint,
     CompositeRegularizer,
     EgPm,
+    NumericRangeError,
     adaftrl_step,
     adagrad_step,
     diag_init,
@@ -51,6 +52,19 @@ class TestWeightedProjection:
         y = np.array([0.2, -0.3])
         out = weighted_l1_ball_project(y, np.ones(2), 1.0)
         assert np.array_equal(out, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [3, 2048])  # the plain scan and the filtered one
+    def test_non_finite_input_raises(self, bad, dim):
+        y = np.linspace(-2.0, 2.0, dim)
+        y[dim // 2] = bad
+        with pytest.raises(NumericRangeError):
+            weighted_l1_ball_project(y, np.ones(dim), 1.0)
+
+    def test_overflowing_l1_norm_raises(self):
+        y = np.array([1e308, -1e308, 1.0])
+        with pytest.raises(NumericRangeError), np.errstate(over="ignore"):
+            weighted_l1_ball_project(y, np.ones(3), 1.0)
 
     def test_feasible_and_sign_preserving(self):
         rng = np.random.default_rng(60)
@@ -271,6 +285,14 @@ class TestEgPm:
         learner.step(np.array([2000.0, 0.0]))
         x = learner.step(np.array([-2000.0, 0.0]))
         assert np.allclose(x, [0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_raises(self, bad):
+        learner = EgPm(2, 1.0)
+        with pytest.raises(NumericRangeError):
+            learner.step(np.array([bad, 0.0]))
+        with pytest.raises(NumericRangeError):
+            eg_pm_step(eg_pm_init(2), np.array([0.0, bad]), radius=1.0)
 
     def test_weights_mass_conserved(self):
         rng = np.random.default_rng(67)

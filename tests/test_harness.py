@@ -279,3 +279,87 @@ class TestBlackbox:
             problem.smooth(x) + 0.5 * np.sum(np.abs(x)) + 0.25 * np.dot(x, x)
         )
         assert problem.smooth(np.full(6, 100.0)) > 0  # quadratic growth far out
+
+    def test_smooth_matches_reference_formula(self):
+        from expopt.harness.streams import BlackboxComposite, gen_blackbox_problem
+
+        rng = np.random.default_rng(16)
+        for dim in (1, 6, 20):
+            problem = gen_blackbox_problem(dim, rng)
+            # offsets below -kappa make the hinge active near the centers
+            flat = BlackboxComposite(
+                problem.mats, problem.centers, np.full(3, -2.0), problem.kappa, problem.reg
+            )
+            hinged = 0
+            for oracle in (problem, flat):
+                for _ in range(500):
+                    x = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.integers(-3, 2)
+                    if rng.random() < 0.3:
+                        x = oracle.centers[rng.integers(3)] + 1e-3 * x
+                    t = np.einsum("pij,pj->pi", oracle.mats, x[None, :] - oracle.centers)
+                    ref = float(
+                        max(np.max(0.5 * np.sum(t**2, axis=1) + oracle.offsets), -oracle.kappa)
+                    )
+                    assert oracle.smooth(x) == ref
+                    hinged += ref == -oracle.kappa
+            assert hinged > 0
+
+    def test_nan_oracle_is_one_failure_per_variant(self, monkeypatch):
+        from expopt.harness import streams
+
+        calls = [0]
+        clean = streams.BlackboxComposite.smooth
+
+        def smooth(self, x):
+            # finite for the first 5 rounds of the first variant (2 estimator
+            # calls and 1 objective call a round at batch 1), NaN afterwards
+            calls[0] += 1
+            return clean(self, x) if calls[0] <= 15 else float("nan")
+
+        monkeypatch.setattr(streams.BlackboxComposite, "smooth", smooth)
+        algorithms = ("acc_exp_md", "acc_exp_ftrl", "acc_adagrad", "acc_adaftrl")
+        spec = ExperimentSpec(
+            kind="blackbox", dim=6, horizon=9, trials=1, sparsity=0.0,
+            algorithms=algorithms, seed=14,
+        )
+        records, failures = run_experiment(spec)
+        labels = [f"{a}@b1" for a in algorithms] + [f"{a}@bsqrtT" for a in algorithms]
+        assert sorted(f.algorithm for f in failures) == sorted(labels)
+        assert all("non-finite oracle value" in f.error for f in failures)
+        rounds = {f.algorithm: f.round for f in failures}
+        assert rounds.pop("acc_exp_md@b1") == 6
+        assert set(rounds.values()) == {1}
+        assert [r.round for r in records] == [1, 2, 3, 4, 5]
+        assert all(r.algorithm == "acc_exp_md@b1" and math.isfinite(r.value) for r in records)
+
+
+class TestLogisticOracle:
+    def test_scalar_sigmoid_matches_array_sigmoid(self):
+        from expopt.harness.streams import _sigmoid, _sigmoid_scalar
+
+        rng = np.random.default_rng(17)
+        margins = np.concatenate([
+            rng.normal(0.0, 1.0, 20_000),
+            rng.normal(0.0, 30.0, 20_000),
+            rng.uniform(-750.0, 750.0, 10_000),
+            [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 709.0, -745.0, 800.0, -800.0],
+        ])
+        for m in margins:
+            expected = float(_sigmoid(np.array([m]))[0])
+            assert _sigmoid_scalar(float(m)) == expected
+
+    def test_loss_grad_matches_array_sigmoid_formula(self):
+        from expopt.harness.streams import _sigmoid, logistic_loss_grad
+
+        rng = np.random.default_rng(18)
+        stream = gen_logistic_stream(50, 300, 0.5, rng)
+        for t in range(300):
+            w = rng.normal(0.0, 10.0 ** rng.integers(-2, 3), 50)
+            x, y = stream.features[t], stream.labels[t]
+            loss, grad = logistic_loss_grad(w, x, y)
+            m = y * float(np.dot(w, x))
+            assert loss == float(np.logaddexp(0.0, -m))
+            expected = (-y * float(_sigmoid(np.array([-m]))[0])) * x
+            assert grad.tobytes() == expected.tobytes()
+            assert logistic_loss(w, x, y) == loss
+            assert np.array_equal(logistic_grad(w, x, y), grad)

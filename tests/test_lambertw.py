@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from expopt import lambert_w0, lambert_w0_from_log
+from expopt.lambertw import _w0_log_array
 
 
 def bisect_wexpw(z, lo=0.0, hi=800.0, tol=1e-14):
@@ -95,3 +96,49 @@ class TestLogDomain:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             lambert_w0_from_log(float("inf"))
+
+
+def w0_log_array_reference(s, max_iter=40):
+    """The vectorized log-domain Newton loop as first written, through the
+    ``np.abs``/``np.all`` wrappers; the library's loop must match it bit for bit."""
+    s = np.asarray(s, dtype=float)
+    v = np.where(s > 1.0, np.log(np.maximum(s, 1.0)), s)
+    its = 0
+    for its in range(1, max_iter + 1):
+        ev = np.exp(v)
+        step = (ev + v - s) / (ev + 1.0)
+        v = v - step
+        if np.all(np.abs(step) <= 1e-16 * (2.0 + np.abs(v))):
+            break
+    return np.exp(v), its
+
+
+class TestLogArrayLoop:
+    def _assert_same(self, s):
+        w, its = _w0_log_array(s)
+        w_ref, its_ref = w0_log_array_reference(s)
+        assert its == its_ref
+        assert np.asarray(w).tobytes() == np.asarray(w_ref).tobytes()
+
+    def test_scalars_match_reference(self):
+        for s in np.linspace(-800.0, 800.0, 4001):
+            self._assert_same(float(s))
+
+    def test_arrays_match_reference(self):
+        rng = np.random.default_rng(31)
+        grid = np.linspace(-800.0, 800.0, 4001)
+        self._assert_same(grid)
+        for size in (1, 2, 20, 500):
+            for _ in range(50):
+                scale = 10.0 ** rng.integers(-3, 3)
+                self._assert_same(np.clip(rng.normal(0.0, scale, size), -800.0, 800.0))
+
+    def test_iteration_cap_matches_reference(self):
+        # around s = -5 the tolerance is below an ulp of v and some inputs
+        # stop at the iteration cap, not at the tolerance
+        capped = [s for s in np.linspace(-8.0, -4.0, 4001)
+                  if w0_log_array_reference(float(s))[1] == 40]
+        assert capped
+        for s in capped:
+            self._assert_same(float(s))
+        self._assert_same(np.array(capped))

@@ -135,6 +135,22 @@ class TestL1BallProjection:
         zero = project_or_pass(np.zeros(3), BallConstraint(1.0), UNIT)
         assert np.array_equal(zero, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises(self, bad):
+        y = np.array([1.0, bad, 2.0])
+        with pytest.raises(NumericRangeError):
+            l1_ball_project(y, BallConstraint(1.0), UNIT)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_checked_projection_raises_on_non_finite_input(self, bad):
+        with pytest.raises(NumericRangeError):
+            project_or_pass(np.array([1.0, bad, 2.0]), BallConstraint(1.0), UNIT)
+
+    def test_overflowing_l1_norm_raises(self):
+        y = np.array([1e308, -1e308, 1.0])
+        with pytest.raises(NumericRangeError), np.errstate(over="ignore"):
+            project_or_pass(y, BallConstraint(1.0), UNIT)
+
     def test_constant_vector_projects_to_uniform(self):
         d, c, radius = 6, 2.0, 3.0
         out = l1_ball_project(np.full(d, c), BallConstraint(radius), EntropyParams(1.0, 0.2))

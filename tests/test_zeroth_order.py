@@ -5,11 +5,27 @@ import pytest
 
 from expopt import (
     EstimatorConfig,
+    NumericRangeError,
     default_smoothing,
     rademacher_config,
     sphere_config,
     two_point_grad,
 )
+
+from expopt.harness.streams import BlackboxComposite, gen_blackbox_problem
+from expopt.zeroth_order import _directions
+
+
+def two_point_grad_reference(f, x, cfg, rng):
+    """The estimator as a loop over the directions, one point at a time;
+    the library's estimate must equal it bit for bit."""
+    x = np.asarray(x, dtype=float)
+    fx = float(f(x))
+    dirs = _directions(cfg.direction_law, cfg.batch, x.size, rng)
+    acc = np.zeros_like(x)
+    for v in dirs:
+        acc += (float(f(x + cfg.mu * v)) - fx) * v
+    return (cfg.delta / (cfg.mu * cfg.batch)) * acc
 
 
 class CountingOracle:
@@ -105,3 +121,65 @@ class TestEstimator:
             biases.append(np.max(np.abs(est - grad_true)))
         assert biases[0] >= biases[1] >= biases[2]
         assert biases[2] <= 0.05
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("law", ["rademacher", "sphere"])
+    @pytest.mark.parametrize("batch", [1, 7, 17])
+    @pytest.mark.parametrize("dim", [1, 2, 20])
+    def test_matches_loop_bit_for_bit(self, law, batch, dim):
+        rng = np.random.default_rng(1000 * dim + batch)
+        problem = gen_blackbox_problem(dim, rng)
+        # all offsets below -kappa: near the centers every value is the hinge,
+        # so many differences are exactly zero and their products are -0.0
+        flat = BlackboxComposite(
+            problem.mats, problem.centers, np.full(3, -2.0), problem.kappa, problem.reg
+        )
+        delta = 1.0 if law == "rademacher" else float(dim)
+        for oracle in (problem.smooth, flat.smooth):
+            for k in range(20):
+                x = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.integers(-4, 1)
+                cfg = EstimatorConfig(delta, 10.0 ** rng.integers(-4, 0), batch, law)
+                seed = int(rng.integers(2**32))
+                out = two_point_grad(oracle, x, cfg, np.random.default_rng(seed))
+                ref = two_point_grad_reference(oracle, x, cfg, np.random.default_rng(seed))
+                assert np.array_equal(out, ref)
+                assert out.tobytes() == ref.tobytes()  # signed zeros too
+
+    def test_oracle_called_at_x_then_points_in_direction_order(self):
+        calls = []
+
+        def oracle(x):
+            calls.append(np.array(x, copy=True))
+            return float(np.sum(x * x))
+
+        x = np.linspace(-1.0, 1.0, 5)
+        cfg = sphere_config(5, mu=0.1, batch=9)
+        two_point_grad(oracle, x, cfg, np.random.default_rng(77))
+        dirs = _directions("sphere", 9, 5, np.random.default_rng(77))
+        assert len(calls) == 10
+        assert np.array_equal(calls[0], x)
+        for point, v in zip(calls[1:], dirs):
+            assert np.array_equal(point, x + 0.1 * v)
+
+
+class TestNonFiniteOracle:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at_call", [0, 1, 4])
+    def test_raises_on_non_finite_value(self, bad, at_call):
+        seen = []
+
+        def oracle(x):
+            seen.append(x)
+            return bad if len(seen) == at_call + 1 else float(np.sum(x))
+
+        cfg = rademacher_config(mu=0.01, batch=4)
+        with pytest.raises(NumericRangeError):
+            two_point_grad(oracle, np.zeros(3), cfg, np.random.default_rng(5))
+        assert len(seen) == 5  # the batch is evaluated, then checked once
+
+    def test_raises_when_a_difference_overflows(self):
+        values = iter([-1e308, 1e308])
+        cfg = rademacher_config(mu=0.01, batch=1)
+        with pytest.raises(NumericRangeError), np.errstate(over="ignore"):
+            two_point_grad(lambda x: next(values), np.zeros(2), cfg, np.random.default_rng(6))
