@@ -64,8 +64,6 @@ from .prox import (
 from .spectral import (
     SpectralExpFtrl,
     SpectralExpMd,
-    SpectralFtrlState,
-    SpectralOmdState,
     SpectralSchedule,
     SvdFactors,
     nuclear_ball_project,

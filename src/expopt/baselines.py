@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import NumericRangeError
-from .prox import BallConstraint, CompositeRegularizer
+from .learners import Learner, _checked
+from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
 
 __all__ = [
     "DiagProxState",
@@ -36,8 +37,6 @@ __all__ = [
     "AdaFtrl",
     "EgPm",
 ]
-
-FeasibleMode = BallConstraint | CompositeRegularizer | None
 
 _H_FLOOR = 1e-6
 
@@ -60,9 +59,7 @@ class DiagProxState:
 
 
 def diag_init(dim: int, x1=None) -> DiagProxState:
-    x1 = np.zeros(dim) if x1 is None else np.asarray(x1, dtype=float).copy()
-    if x1.shape != (dim,):
-        raise ValueError(f"x1 has shape {x1.shape}, expected ({dim},)")
+    x1 = np.zeros(dim) if x1 is None else _checked(x1, (dim,), "x1").copy()
     return DiagProxState(
         h_diag=np.full(dim, _H_FLOOR),
         g_accum=np.zeros(dim),
@@ -169,17 +166,44 @@ def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
 
     ``target`` is the unconstrained minimizer; ball mode projects it in the
     weighted metric, elastic net has the coordinatewise soft threshold.
+    A non-finite target raises :class:`NumericRangeError` (in ball mode
+    through the projection's own l1 sum).
     """
-    if mode is None:
-        return target
     if isinstance(mode, BallConstraint):
         return weighted_l1_ball_project(target, h_sqrt, mode.radius)
+    if not np.isfinite(target).all():
+        raise NumericRangeError("diagonal step got a non-finite gradient or hint")
+    if mode is None:
+        return target
     if isinstance(mode, CompositeRegularizer):
         l1 = mode.l1 * reg_weight
         l2 = mode.l2 * reg_weight
         q = target * h_sqrt
         return np.sign(q) * np.maximum(np.abs(q) - l1, 0.0) / (h_sqrt + l2)
     raise TypeError(f"unsupported feasibility mode: {mode!r}")
+
+
+def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader: bool):
+    """One diagonal round; ``leader`` selects the accumulated-gradient target."""
+    g = _checked(g, state.x.shape, "g")
+    h_next = np.zeros_like(g) if h_next is None else np.asarray(h_next, dtype=float)
+    diff = g - state.h_prev
+    h_diag = state.h_diag + diff * diff
+    h_sqrt = np.sqrt(h_diag)
+    g_accum = state.g_accum + g
+    reg_rounds = state.reg_rounds + reg_weight
+    if leader:
+        x = _diag_resolve(-(g_accum + h_next) / h_sqrt, h_sqrt, mode, reg_rounds)
+    else:
+        x = _diag_resolve(state.x - (diff + h_next) / h_sqrt, h_sqrt, mode, reg_weight)
+    return DiagProxState(
+        h_diag=h_diag,
+        g_accum=g_accum,
+        x=x,
+        h_prev=h_next,
+        round=state.round + 1,
+        reg_rounds=reg_rounds,
+    ), x
 
 
 def adagrad_step(
@@ -195,24 +219,7 @@ def adagrad_step(
     followed by the mode resolution; an optional hint shifts the linear
     term to ``g - h_prev + h_next`` and the accumulator to the hint error.
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.x.shape:
-        raise ValueError(f"g has shape {g.shape}, expected {state.x.shape}")
-    h_next = np.zeros_like(g) if h_next is None else np.asarray(h_next, dtype=float)
-    diff = g - state.h_prev
-    h_diag = state.h_diag + diff * diff
-    h_sqrt = np.sqrt(h_diag)
-    target = state.x - (diff + h_next) / h_sqrt
-    x = _diag_resolve(target, h_sqrt, mode, reg_weight)
-    new_state = DiagProxState(
-        h_diag=h_diag,
-        g_accum=state.g_accum + g,
-        x=x,
-        h_prev=h_next,
-        round=state.round + 1,
-        reg_rounds=state.reg_rounds + reg_weight,
-    )
-    return new_state, x
+    return _diag_step(state, g, mode, h_next, reg_weight, leader=False)
 
 
 def adaftrl_step(
@@ -223,26 +230,7 @@ def adaftrl_step(
     reg_weight: float = 1.0,
 ):
     """Diagonal leader-following round on the accumulated gradients."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != state.x.shape:
-        raise ValueError(f"g has shape {g.shape}, expected {state.x.shape}")
-    h_next = np.zeros_like(g) if h_next is None else np.asarray(h_next, dtype=float)
-    diff = g - state.h_prev
-    h_diag = state.h_diag + diff * diff
-    h_sqrt = np.sqrt(h_diag)
-    g_accum = state.g_accum + g
-    reg_rounds = state.reg_rounds + reg_weight
-    target = -(g_accum + h_next) / h_sqrt
-    x = _diag_resolve(target, h_sqrt, mode, reg_rounds)
-    new_state = DiagProxState(
-        h_diag=h_diag,
-        g_accum=g_accum,
-        x=x,
-        h_prev=h_next,
-        round=state.round + 1,
-        reg_rounds=reg_rounds,
-    )
-    return new_state, x
+    return _diag_step(state, g, mode, h_next, reg_weight, leader=True)
 
 
 @dataclass(frozen=True)
@@ -297,57 +285,30 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     return new_state, x
 
 
-class AdaGrad:
+class AdaGrad(Learner):
     """Stateful diagonal mirror-descent baseline."""
 
     def __init__(self, dim: int, mode: FeasibleMode = None, x1=None):
-        self.mode = mode
-        self.state = diag_init(dim, x1)
-
-    @property
-    def x(self):
-        return self.state.x
-
-    def step(self, g, h_next=None, reg_weight: float = 1.0):
-        self.state, x = adagrad_step(
-            self.state, g, mode=self.mode, h_next=h_next, reg_weight=reg_weight
-        )
-        return x
+        state = diag_init(dim, x1)
+        super().__init__(state, state.x, lambda s, g, h, w: adagrad_step(s, g, mode, h, w))
 
 
-class AdaFtrl:
+class AdaFtrl(Learner):
     """Stateful diagonal leader-following baseline."""
 
     def __init__(self, dim: int, mode: FeasibleMode = None, x1=None):
-        self.mode = mode
-        self.state = diag_init(dim, x1)
-
-    @property
-    def x(self):
-        return self.state.x
-
-    def step(self, g, h_next=None, reg_weight: float = 1.0):
-        self.state, x = adaftrl_step(
-            self.state, g, mode=self.mode, h_next=h_next, reg_weight=reg_weight
-        )
-        return x
+        state = diag_init(dim, x1)
+        super().__init__(state, state.x, lambda s, g, h, w: adaftrl_step(s, g, mode, h, w))
 
 
-class EgPm:
-    """Stateful signed multiplicative-weights baseline on a radius-D ball."""
+class EgPm(Learner):
+    """Stateful signed multiplicative-weights baseline on a radius-D ball.
+
+    Hints and regularizer weights are accepted and ignored.
+    """
 
     def __init__(self, dim: int, radius: float, stepsize: float | None = None):
-        self.radius = radius
-        self.stepsize = stepsize
-        self.state = eg_pm_init(dim)
-        d = dim
-        w = np.full(2 * d, radius / (2 * d))
-        self._x = w[:d] - w[d:]
-
-    @property
-    def x(self):
-        return self._x
-
-    def step(self, g, h_next=None, reg_weight: float = 1.0):
-        self.state, self._x = eg_pm_step(self.state, g, self.radius, self.stepsize)
-        return self._x
+        # equal weights on both halves: the decision starts at the origin
+        super().__init__(
+            eg_pm_init(dim), np.zeros(dim), lambda s, g, h, w: eg_pm_step(s, g, radius, stepsize)
+        )

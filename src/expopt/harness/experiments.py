@@ -2,15 +2,16 @@
 
 Every trial draws its own child of ``SeedSequence(seed)``, generates the
 data once, and runs every requested algorithm over the identical arrays;
-records therefore only depend on the spec, never on scheduling.  Rows are
-emitted sorted by (algorithm, trial, round) and floats are written with
-their shortest round-trip representation, so equal configurations produce
-byte-identical CSV files.
+records therefore only depend on the spec.  Rows are emitted sorted by
+(algorithm, trial, round) and floats are written with their shortest
+round-trip representation, so equal configurations produce byte-identical
+CSV files.  A numeric error, or a non-finite loss, regret or objective,
+ends that algorithm's trial with a :class:`TrialFailure` at the round,
+which writes no row.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -122,6 +123,8 @@ def _run_online_algorithm(name, spec, stream, comp_losses, radius, trial):
         try:
             loss, grad = oracle(x, stream.features[t], stream.labels[t])
             cum += loss - comp_losses[t]
+            if not math.isfinite(cum):
+                raise NumericRangeError(f"cumulative regret is not finite ({cum})")
             learner.step(grad)
         except _NUMERIC_ERRORS as exc:
             return records, TrialFailure(name, trial, t + 1, str(exc))
@@ -141,6 +144,8 @@ def _run_blackbox_algorithm(label, name, batch, spec, problem, seed_seq, trial):
         try:
             z = acc.step(lambda v: two_point_grad(problem.smooth, v, cfg, rng))
             value = problem.objective(z)
+            if not math.isfinite(value):
+                raise NumericRangeError(f"objective value is not finite ({value})")
         except _NUMERIC_ERRORS as exc:
             return records, TrialFailure(label, trial, t + 1, str(exc))
         records.append(RegretRecord(spec.kind, label, trial, t + 1, float(value)))
@@ -149,55 +154,45 @@ def _run_blackbox_algorithm(label, name, batch, spec, problem, seed_seq, trial):
 
 def _run_trial(spec: ExperimentSpec, trial: int, seed_seq) -> tuple[list, list]:
     rng = np.random.default_rng(seed_seq)
-    records, failures = [], []
     if spec.kind == "logistic":
         stream = streams.gen_logistic_stream(spec.dim, spec.horizon, spec.sparsity, rng)
         radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(np.abs(stream.w_star)))
-        radius = radius if radius > 0 else 1.0  # degenerate all-zero truth
         margins = stream.labels * (stream.features @ stream.w_star)
         comp_losses = np.logaddexp(0.0, -margins)
-        for name in spec.algorithms:
-            recs, failure = _run_online_algorithm(name, spec, stream, comp_losses, radius, trial)
-            records.extend(recs)
-            if failure:
-                failures.append(failure)
     elif spec.kind == "multitask":
         stream = streams.gen_multitask_stream(
             spec.dim, spec.tasks, spec.rank, spec.horizon, rng
         )
         radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(stream.singular_values))
-        radius = radius if radius > 0 else 1.0
         margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
         comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
-        for name in spec.algorithms:
-            recs, failure = _run_online_algorithm(name, spec, stream, comp_losses, radius, trial)
-            records.extend(recs)
-            if failure:
-                failures.append(failure)
-    else:
+    if spec.kind == "blackbox":
         problem = streams.gen_blackbox_problem(spec.dim, rng)
         sqrt_batch = max(int(math.isqrt(max(spec.horizon, 1))), 1)
         variants = [(f"{name}@b1", name, 1) for name in spec.algorithms]
         variants += [(f"{name}@bsqrtT", name, sqrt_batch) for name in spec.algorithms]
         children = seed_seq.spawn(len(variants))
-        for (label, name, batch), child in zip(variants, children):
-            recs, failure = _run_blackbox_algorithm(
-                label, name, batch, spec, problem, child, trial
-            )
-            records.extend(recs)
-            if failure:
-                failures.append(failure)
-    return records, failures
+        results = [
+            _run_blackbox_algorithm(label, name, batch, spec, problem, child, trial)
+            for (label, name, batch), child in zip(variants, children)
+        ]
+    else:
+        radius = radius if radius > 0 else 1.0  # degenerate all-zero truth
+        results = [
+            _run_online_algorithm(name, spec, stream, comp_losses, radius, trial)
+            for name in spec.algorithms
+        ]
+    return [r for recs, _ in results for r in recs], [f for _, f in results if f]
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
-    """Run all trials; returns (records, failures) in canonical order."""
+    """Run all trials in turn; returns (records, failures) in canonical order.
+
+    ``threads`` has no effect; the interpreter-bound trials ran slower on a
+    thread pool.
+    """
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: _run_trial(spec, i, seeds[i]), range(spec.trials)))
-    else:
-        results = [_run_trial(spec, i, seeds[i]) for i in range(spec.trials)]
+    results = [_run_trial(spec, i, seeds[i]) for i in range(spec.trials)]
     records = [r for recs, _ in results for r in recs]
     failures = [f for _, fails in results for f in fails]
     records.sort(key=lambda r: (r.algorithm, r.trial, r.round))

@@ -7,8 +7,9 @@ gradient estimators, pairing each family with its direction law.
 
 import numpy as np
 
+from .. import baselines
 from ..baselines import AdaFtrl, AdaGrad, EgPm, diag_init, euclidean_nuclear_ball_project
-from ..learners import ExpFtrl, ExpMd, ScheduleParams
+from ..learners import ExpFtrl, ExpMd, Learner, ScheduleParams
 from ..prox import BallConstraint, CompositeRegularizer
 from ..spectral import SpectralExpFtrl, SpectralExpMd, SpectralSchedule
 
@@ -42,43 +43,27 @@ def build_vector_learner(name: str, dim: int, radius: float):
     raise KeyError(f"unknown vector algorithm {name!r}")
 
 
-class _VectorizedDiagNuclear:
+def _diag_nuclear(name: str, m: int, n: int, radius: float) -> Learner:
     """Diagonal baseline on a flattened matrix, projected onto the nuclear ball.
 
-    The diagonal step itself is coordinatewise on the vectorization; the
-    nuclear-ball constraint is enforced by a Frobenius-metric projection
-    (the exact weighted projection has no spectral form).
+    :func:`~expopt.baselines.adagrad_step` or ``adaftrl_step`` runs
+    coordinatewise on the vectorization; the nuclear-ball constraint is
+    enforced by a Frobenius-metric projection (the exact weighted
+    projection has no spectral form).
     """
 
-    def __init__(self, m: int, n: int, radius: float, flavor: str):
-        self.m, self.n, self.radius, self.flavor = m, n, radius, flavor
-        self.state = diag_init(m * n)
-        self._x = np.zeros((m, n))
-
-    @property
-    def x(self):
-        return self._x
-
-    def step(self, g, h_next=None, reg_weight: float = 1.0):
-        flat = np.asarray(g, dtype=float).ravel()
-        st = self.state
-        h_diag = st.h_diag + flat * flat
-        h_sqrt = np.sqrt(h_diag)
-        g_accum = st.g_accum + flat
-        if self.flavor == "md":
-            target = self._x.ravel() - flat / h_sqrt
-        else:
-            target = -g_accum / h_sqrt
-        self._x = euclidean_nuclear_ball_project(target.reshape(self.m, self.n), self.radius)
-        self.state = type(st)(
-            h_diag=h_diag,
-            g_accum=g_accum,
-            x=self._x.ravel(),
-            h_prev=st.h_prev,
-            round=st.round + 1,
-            reg_rounds=st.reg_rounds + reg_weight,
+    def advance(state, g, h_next, reg_weight):
+        # looked up on every step, as AdaGrad and AdaFtrl look up theirs
+        step = baselines.adagrad_step if name == "adagrad" else baselines.adaftrl_step
+        h_flat = None if h_next is None else np.ravel(h_next)
+        st, target = step(state, np.ravel(g), None, h_flat, reg_weight)
+        x = euclidean_nuclear_ball_project(target.reshape(m, n), radius)
+        st = baselines.DiagProxState(
+            st.h_diag, st.g_accum, x.ravel(), st.h_prev, st.round, st.reg_rounds
         )
-        return self._x
+        return st, x
+
+    return Learner(diag_init(m * n), np.zeros((m, n)), advance)
 
 
 def build_matrix_learner(name: str, m: int, n: int, radius: float):
@@ -88,10 +73,8 @@ def build_matrix_learner(name: str, m: int, n: int, radius: float):
         return SpectralExpMd(SpectralSchedule(m, n, radius), mode=ball)
     if name == "spectral_exp_ftrl":
         return SpectralExpFtrl(SpectralSchedule(m, n, radius), mode=ball)
-    if name == "adagrad":
-        return _VectorizedDiagNuclear(m, n, radius, flavor="md")
-    if name == "adaftrl":
-        return _VectorizedDiagNuclear(m, n, radius, flavor="ftrl")
+    if name in ("adagrad", "adaftrl"):
+        return _diag_nuclear(name, m, n, radius)
     raise KeyError(f"unknown matrix algorithm {name!r}")
 
 

@@ -1,28 +1,35 @@
-"""Adaptive optimistic online learners over R^d with exponentiated updates.
+"""Adaptive optimistic online learners with exponentiated updates.
 
-Both learners run through a two-step dual-point scheme: form a dual vector
+Both learners run through a two-step dual-point scheme: form a dual point
 ``z``, map it back through the inverse mirror map, then resolve the
 feasibility mode (free space, composite regularizer, or l1 ball).
 
 * mirror-descent flavor: ``z = mirror_map(x_t) - (g_t - h_t + h_{t+1})``
 * leader-following flavor: ``z = mirror_map(x_1) - g_{1:t} - h_{t+1}``
 
-The per-round scale ``alpha_{t+1} = eta * sqrt(eps0 + sum_s ||g_s - h_s||_inf^2)``
+The per-round scale ``alpha_{t+1} = eta * sqrt(eps0 + sum_s ||g_s - h_s||_*^2)``
 adapts to how well the hints ``h`` predict the gradients.  Mode resolution
 happens in the log domain: the prox and projection consume ``|z_i|/alpha``
 directly, which equals ``ln(|y_i|/beta + 1)`` of the primal image, so huge
 dual coordinates are clamped by the constraint without overflowing.
+
+One mirror-descent body and one leader-following body serve vectors and
+matrices alike, over a :data:`Geometry` (:data:`VECTORS` here, the spectral
+one in :mod:`expopt.spectral`).  A non-finite or overflowing gradient
+mismatch raises :class:`NumericRangeError` at the step boundary.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EXP_ARG_LIMIT, EntropyParams, NumericRangeError, mirror_map
+from .entropy import EXP_ARG_LIMIT, EntropyParams, NumericRangeError
 from .prox import (
     BallConstraint,
     CompositeRegularizer,
+    FeasibleMode,
     elastic_net_prox_from_log,
     l1_ball_project_from_log,
 )
@@ -36,13 +43,10 @@ __all__ = [
     "ftrl_init",
     "ftrl_step",
     "regret",
+    "Learner",
     "ExpMd",
     "ExpFtrl",
 ]
-
-# Feasibility mode is a plain union: None for the free space, a
-# BallConstraint for the l1 ball, a CompositeRegularizer for elastic net.
-FeasibleMode = BallConstraint | CompositeRegularizer | None
 
 
 @dataclass(frozen=True)
@@ -63,28 +67,38 @@ class ScheduleParams:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if self.beta is None:
-            object.__setattr__(self, "beta", 1.0 / self.dim)
-        if self.eta is None:
-            object.__setattr__(
-                self, "eta", math.sqrt(1.0 / (math.log(self.radius + 1.0) + math.log(self.dim)))
-            )
-        if not (self.eta > 0 and self.beta > 0):
-            raise ValueError("eta and beta must be positive")
-        if self.epsilon0 < 0:
-            raise ValueError("epsilon0 must be nonnegative")
+        _fill_schedule(self, self.dim)
+
+
+def _fill_schedule(sched, k: int) -> None:
+    """Validate a schedule and fill its defaults for ``k`` = dim or min(m, n)."""
+    if not sched.radius > 0:
+        raise ValueError("radius must be positive")
+    if sched.beta is None:
+        object.__setattr__(sched, "beta", 1.0 / k)
+    if sched.eta is None:
+        object.__setattr__(
+            sched, "eta", math.sqrt(1.0 / (math.log(sched.radius + 1.0) + math.log(k)))
+        )
+    if not (sched.eta > 0 and sched.beta > 0):
+        raise ValueError("eta and beta must be positive")
+    if sched.epsilon0 < 0:
+        raise ValueError("epsilon0 must be nonnegative")
 
 
 @dataclass(frozen=True)
 class OmdState:
-    """Mirror-descent learner state: current point and hint bookkeeping."""
+    """Mirror-descent learner state: current point and hint bookkeeping.
+
+    ``factor`` caches the geometry's scale-free mirror direction of ``x``;
+    ``None`` rebuilds it from ``x`` on the next step.
+    """
 
     x: np.ndarray
     sum_sq: float
     h_prev: np.ndarray
     round: int
+    factor: object = None
 
 
 @dataclass(frozen=True)
@@ -92,25 +106,19 @@ class FtrlState:
     """Leader-following learner state anchored at ``x1``.
 
     ``anchor_dual`` caches the scale-free mirror direction of the anchor so
-    the dual point for any round is ``alpha * anchor_dual - g_accum - h``.
-    ``reg_rounds`` is the accumulated composite-regularizer weight
-    (``t + 1`` under unit per-round weights).
+    the dual point for any round is ``alpha * anchor_dual - g_accum - h``
+    (for matrices it is the anchor's factors with the spectrum replaced by
+    its direction).  ``reg_rounds`` is the accumulated composite-regularizer
+    weight (``t + 1`` under unit per-round weights).
     """
 
     g_accum: np.ndarray
     x1: np.ndarray
-    anchor_dual: np.ndarray
+    anchor_dual: object
     sum_sq: float
     h_prev: np.ndarray
     round: int
     reg_rounds: float
-
-
-def _as_vector(v, dim, name):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
-    return v
 
 
 def _logsumexp(values):
@@ -141,10 +149,102 @@ def resolve_dual_point(z, p: EntropyParams, mode: FeasibleMode, reg_weight: floa
     raise TypeError(f"unsupported feasibility mode: {mode!r}")
 
 
+# What vector and matrix learners differ in: the iterates' ``shape(sched)``;
+# the dual ``norm(d)`` of a gradient mismatch; ``factor(x, beta)``, the
+# scale-free mirror direction of a point, scaled into the dual space by
+# ``mirror(f, p)``; ``resolve(z, p, mode, reg_weight)``, the feasible point
+# of a dual point and its factor (``None``: rebuild it from the point).
+Geometry = namedtuple("Geometry", "shape norm factor mirror resolve")
+
+
+# R^d: max-abs dual norm and the coordinatewise mirror map.
+VECTORS = Geometry(
+    shape=lambda sched: (sched.dim,),
+    norm=lambda d: float(np.max(np.abs(d))),
+    factor=lambda x, beta: np.log1p(np.abs(x) / beta) * np.sign(x),
+    mirror=lambda f, p: p.alpha * f,
+    resolve=lambda z, p, mode, w: (resolve_dual_point(z, p, mode, w), None),
+)
+
+
+def _checked(v, shape, name):
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        raise ValueError(f"{name} has shape {v.shape}, expected {shape}")
+    return v
+
+
+def _inputs(geo, sched, g, h_next):
+    shape = geo.shape(sched)
+    h_next = np.zeros(shape) if h_next is None else _checked(h_next, shape, "h_next")
+    return _checked(g, shape, "g"), h_next
+
+
+def _round_params(geo, sched, sum_sq, diff):
+    """The new hint-error sum and this round's entropy parameters."""
+    norm = geo.norm(diff)
+    try:
+        sum_sq = sum_sq + norm**2
+    except OverflowError:  # a finite norm whose square leaves the float range
+        sum_sq = math.inf
+    if not math.isfinite(sum_sq):
+        raise NumericRangeError("gradient minus hint has a non-finite or overflowing norm")
+    alpha = sched.eta * math.sqrt(sched.epsilon0 + sum_sq)
+    return sum_sq, EntropyParams(alpha, sched.beta)
+
+
+def _omd_init(geo, sched, x1):
+    shape = geo.shape(sched)
+    x1 = np.zeros(shape) if x1 is None else _checked(x1, shape, "x1")
+    factor = geo.factor(x1, sched.beta)
+    return OmdState(x=x1.copy(), sum_sq=0.0, h_prev=np.zeros(shape), round=1, factor=factor)
+
+
+def _omd_step(geo, state, g, sched, mode, h_next, reg_weight):
+    g, h_next = _inputs(geo, sched, g, h_next)
+    diff = g - state.h_prev
+    sum_sq, p = _round_params(geo, sched, state.sum_sq, diff)
+    f = state.factor if state.factor is not None else geo.factor(state.x, sched.beta)
+    z = geo.mirror(f, p) - (diff + h_next)
+    x, factor = geo.resolve(z, p, mode, reg_weight)
+    return OmdState(x=x, sum_sq=sum_sq, h_prev=h_next, round=state.round + 1, factor=factor), x
+
+
+def _ftrl_init(geo, sched, x1):
+    shape = geo.shape(sched)
+    x1 = np.zeros(shape) if x1 is None else _checked(x1, shape, "x1")
+    return FtrlState(
+        g_accum=np.zeros(shape),
+        x1=x1.copy(),
+        anchor_dual=geo.factor(x1, sched.beta),
+        sum_sq=0.0,
+        h_prev=np.zeros(shape),
+        round=1,
+        reg_rounds=1.0,
+    )
+
+
+def _ftrl_step(geo, state, g, sched, mode, h_next, reg_weight):
+    g, h_next = _inputs(geo, sched, g, h_next)
+    sum_sq, p = _round_params(geo, sched, state.sum_sq, g - state.h_prev)
+    g_accum = state.g_accum + g
+    reg_rounds = state.reg_rounds + reg_weight
+    z = geo.mirror(state.anchor_dual, p) - g_accum - h_next
+    x, _ = geo.resolve(z, p, mode, reg_rounds)
+    return FtrlState(
+        g_accum=g_accum,
+        x1=state.x1,
+        anchor_dual=state.anchor_dual,
+        sum_sq=sum_sq,
+        h_prev=h_next,
+        round=state.round + 1,
+        reg_rounds=reg_rounds,
+    ), x
+
+
 def omd_init(sched: ScheduleParams, x1=None) -> OmdState:
     """Fresh state at a feasible anchor (default: the origin)."""
-    x1 = np.zeros(sched.dim) if x1 is None else _as_vector(x1, sched.dim, "x1")
-    return OmdState(x=x1.copy(), sum_sq=0.0, h_prev=np.zeros(sched.dim), round=1)
+    return _omd_init(VECTORS, sched, x1)
 
 
 def omd_step(
@@ -161,29 +261,11 @@ def omd_step(
     scales the composite regularizer for this round (used by the
     stochastic-acceleration wrapper).
     """
-    g = _as_vector(g, sched.dim, "g")
-    h_next = np.zeros(sched.dim) if h_next is None else _as_vector(h_next, sched.dim, "h_next")
-    diff = g - state.h_prev
-    sum_sq = state.sum_sq + float(np.max(np.abs(diff))) ** 2
-    alpha = sched.eta * math.sqrt(sched.epsilon0 + sum_sq)
-    p = EntropyParams(alpha, sched.beta)
-    z = mirror_map(state.x, p) - (diff + h_next)
-    x = resolve_dual_point(z, p, mode, reg_weight)
-    return OmdState(x=x, sum_sq=sum_sq, h_prev=h_next, round=state.round + 1), x
+    return _omd_step(VECTORS, state, g, sched, mode, h_next, reg_weight)
 
 
 def ftrl_init(sched: ScheduleParams, x1=None) -> FtrlState:
-    x1 = np.zeros(sched.dim) if x1 is None else _as_vector(x1, sched.dim, "x1")
-    anchor_dual = np.log1p(np.abs(x1) / sched.beta) * np.sign(x1)
-    return FtrlState(
-        g_accum=np.zeros(sched.dim),
-        x1=x1.copy(),
-        anchor_dual=anchor_dual,
-        sum_sq=0.0,
-        h_prev=np.zeros(sched.dim),
-        round=1,
-        reg_rounds=1.0,
-    )
+    return _ftrl_init(VECTORS, sched, x1)
 
 
 def ftrl_step(
@@ -199,26 +281,7 @@ def ftrl_step(
     In regularized mode the prox uses the accumulated weight
     ``r_{1:t+1}``, i.e. ``(t + 1)`` under unit weights.
     """
-    g = _as_vector(g, sched.dim, "g")
-    h_next = np.zeros(sched.dim) if h_next is None else _as_vector(h_next, sched.dim, "h_next")
-    diff = g - state.h_prev
-    sum_sq = state.sum_sq + float(np.max(np.abs(diff))) ** 2
-    alpha = sched.eta * math.sqrt(sched.epsilon0 + sum_sq)
-    p = EntropyParams(alpha, sched.beta)
-    g_accum = state.g_accum + g
-    reg_rounds = state.reg_rounds + reg_weight
-    z = alpha * state.anchor_dual - g_accum - h_next
-    x = resolve_dual_point(z, p, mode, reg_rounds)
-    new_state = FtrlState(
-        g_accum=g_accum,
-        x1=state.x1,
-        anchor_dual=state.anchor_dual,
-        sum_sq=sum_sq,
-        h_prev=h_next,
-        round=state.round + 1,
-        reg_rounds=reg_rounds,
-    )
-    return new_state, x
+    return _ftrl_step(VECTORS, state, g, sched, mode, h_next, reg_weight)
 
 
 def regret(losses_player, losses_comparator):
@@ -230,40 +293,39 @@ def regret(losses_player, losses_comparator):
     return np.cumsum(a - b)
 
 
-class ExpMd:
-    """Stateful mirror-descent learner; thin wrapper over :func:`omd_step`."""
+class Learner:
+    """A stateful learner: its ``state``, its decision ``x`` and a step rule.
 
-    def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
-        self.sched = sched
-        self.mode = mode
-        self.state = omd_init(sched, x1)
+    ``advance(state, g, h_next, reg_weight)`` returns the next state and decision.
+    """
 
-    @property
-    def x(self):
-        return self.state.x
-
-    def step(self, g, h_next=None, reg_weight: float = 1.0):
-        self.state, x = omd_step(
-            self.state, g, self.sched, mode=self.mode, h_next=h_next, reg_weight=reg_weight
-        )
-        return x
-
-
-class ExpFtrl:
-    """Stateful leader-following learner; thin wrapper over :func:`ftrl_step`."""
-
-    def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
-        self.sched = sched
-        self.mode = mode
-        self.state = ftrl_init(sched, x1)
-        self._x = self.state.x1.copy()
+    def __init__(self, state, x, advance):
+        self.state = state
+        self._x = x
+        self._advance = advance
 
     @property
     def x(self):
         return self._x
 
     def step(self, g, h_next=None, reg_weight: float = 1.0):
-        self.state, self._x = ftrl_step(
-            self.state, g, self.sched, mode=self.mode, h_next=h_next, reg_weight=reg_weight
-        )
+        self.state, self._x = self._advance(self.state, g, h_next, reg_weight)
         return self._x
+
+
+class ExpMd(Learner):
+    """Stateful mirror-descent learner over :func:`omd_step`."""
+
+    def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
+        state = omd_init(sched, x1)
+        super().__init__(state, state.x, lambda s, g, h, w: omd_step(s, g, sched, mode, h, w))
+
+
+class ExpFtrl(Learner):
+    """Stateful leader-following learner over :func:`ftrl_step`."""
+
+    def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
+        state = ftrl_init(sched, x1)
+        super().__init__(
+            state, state.x1.copy(), lambda s, g, h, w: ftrl_step(s, g, sched, mode, h, w)
+        )

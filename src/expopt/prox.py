@@ -28,6 +28,7 @@ from .lambertw import _w0_log_array
 __all__ = [
     "CompositeRegularizer",
     "BallConstraint",
+    "FeasibleMode",
     "elastic_net_prox",
     "elastic_net_prox_from_log",
     "l1_ball_project",
@@ -66,6 +67,11 @@ class BallConstraint:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
+
+
+# Feasibility mode of a learner: None for the free space, a BallConstraint
+# for the l1 (or nuclear) ball, a CompositeRegularizer for elastic net.
+FeasibleMode = BallConstraint | CompositeRegularizer | None
 
 
 def elastic_net_prox(y, reg: CompositeRegularizer, p: EntropyParams):

@@ -10,8 +10,9 @@ vector operation to the spectrum, and recomposes:
 * :func:`spectral_omd_step` / :func:`spectral_ftrl_step` -- full learners,
   with the hint mismatch measured in the spectral norm.
 
-Learner states carry the factors of the current iterate so each step costs
-a single decomposition of the dual matrix.
+The learners are those of :mod:`expopt.learners` in the geometry
+:data:`MATRICES`; mirror-descent states carry the factors of the current
+iterate, so each step costs a single decomposition of the dual matrix.
 """
 
 import math
@@ -19,14 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EXP_ARG_LIMIT, EntropyParams, NumericRangeError, entropy, mirror_map
+from . import learners
+from .entropy import EntropyParams, entropy, mirror_map
+from .learners import FtrlState, Geometry, Learner, OmdState
 from .prox import (
     BallConstraint,
     CompositeRegularizer,
+    FeasibleMode,
     elastic_net_prox,
-    elastic_net_prox_from_log,
     l1_ball_project,
-    l1_ball_project_from_log,
 )
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
     "spectral_prox",
     "nuclear_ball_project",
     "nuclear_project_or_pass",
-    "SpectralOmdState",
-    "SpectralFtrlState",
     "spectral_omd_init",
     "spectral_omd_step",
     "spectral_ftrl_init",
@@ -50,8 +50,6 @@ __all__ = [
     "SpectralExpMd",
     "SpectralExpFtrl",
 ]
-
-FeasibleMode = BallConstraint | CompositeRegularizer | None
 
 
 @dataclass(frozen=True)
@@ -110,17 +108,7 @@ class SpectralSchedule:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("matrix dimensions must be positive")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        k = min(self.m, self.n)
-        if self.beta is None:
-            object.__setattr__(self, "beta", 1.0 / k)
-        if self.eta is None:
-            object.__setattr__(
-                self, "eta", math.sqrt(1.0 / (math.log(self.radius + 1.0) + math.log(k)))
-            )
-        if not (self.eta > 0 and self.beta > 0):
-            raise ValueError("eta and beta must be positive")
+        learners._fill_schedule(self, min(self.m, self.n))
 
 
 def spectral_reg_value(x, p: EntropyParams) -> float:
@@ -168,66 +156,43 @@ def nuclear_project_or_pass(y, ball: BallConstraint, p: EntropyParams) -> np.nda
     return nuclear_ball_project(y, ball, p)
 
 
-def _resolve_spectrum(scale, p: EntropyParams, mode: FeasibleMode, reg_weight: float):
-    """Mode resolution on nonnegative dual singular values ``scale = s/alpha``."""
-    ones = np.ones_like(scale)
-    if mode is None:
-        if scale.size and float(np.max(scale)) > EXP_ARG_LIMIT:
-            raise NumericRangeError("free-mode spectral iterate exceeds the float range")
-        return p.beta * np.expm1(scale)
-    if isinstance(mode, BallConstraint):
-        m = float(np.max(scale))
-        total = m + math.log(float(np.sum(np.exp(scale - m))))
-        if total <= math.log(mode.radius / p.beta + scale.size):
-            return p.beta * np.expm1(scale)
-        return l1_ball_project_from_log(scale, ones, mode, p)
-    if isinstance(mode, CompositeRegularizer):
-        return elastic_net_prox_from_log(scale, ones, mode.scaled(reg_weight), p)
-    raise TypeError(f"unsupported feasibility mode: {mode!r}")
+def _matrix_norm(d):
+    try:
+        return spectral_norm(d)
+    except np.linalg.LinAlgError:
+        # a NaN entry makes the SVD fail to converge: report a non-finite
+        # norm, which the step rejects
+        return math.nan
 
 
-@dataclass(frozen=True)
-class SpectralOmdState:
-    """Mirror-descent state carrying the factors of the current iterate."""
-
-    x: np.ndarray
-    factors: SvdFactors
-    sum_sq: float
-    h_prev: np.ndarray
-    round: int
+def _matrix_factor(x, beta):
+    f = svd(x)
+    return SvdFactors(f.u, np.log1p(f.s / beta), f.vt)
 
 
-@dataclass(frozen=True)
-class SpectralFtrlState:
-    g_accum: np.ndarray
-    x1: np.ndarray
-    anchor_factors: SvdFactors
-    sum_sq: float
-    h_prev: np.ndarray
-    round: int
-    reg_rounds: float
+def _resolve_matrix(z, p, mode, reg_weight):
+    f = svd(z)
+    spectrum = learners.resolve_dual_point(f.s, p, mode, reg_weight)
+    return (f.u * spectrum) @ f.vt, SvdFactors(f.u, np.log1p(spectrum / p.beta), f.vt)
 
 
-def _as_matrix(v, sched: SpectralSchedule, name):
-    v = np.asarray(v, dtype=float)
-    if v.shape != (sched.m, sched.n):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({sched.m}, {sched.n})")
-    return v
+# m-by-n matrices: spectral dual norm, and the vector mirror map applied to
+# the singular values (a factor is an SvdFactors holding their directions).
+MATRICES = Geometry(
+    shape=lambda sched: (sched.m, sched.n),
+    norm=_matrix_norm,
+    factor=_matrix_factor,
+    mirror=lambda f, p: (f.u * (p.alpha * f.s)) @ f.vt,
+    resolve=_resolve_matrix,
+)
 
 
-def spectral_omd_init(sched: SpectralSchedule, x1=None) -> SpectralOmdState:
-    x1 = np.zeros((sched.m, sched.n)) if x1 is None else _as_matrix(x1, sched, "x1")
-    return SpectralOmdState(
-        x=x1.copy(),
-        factors=svd(x1),
-        sum_sq=0.0,
-        h_prev=np.zeros((sched.m, sched.n)),
-        round=1,
-    )
+def spectral_omd_init(sched: SpectralSchedule, x1=None) -> OmdState:
+    return learners._omd_init(MATRICES, sched, x1)
 
 
 def spectral_omd_step(
-    state: SpectralOmdState,
+    state: OmdState,
     g,
     sched: SpectralSchedule,
     mode: FeasibleMode = None,
@@ -240,111 +205,39 @@ def spectral_omd_step(
     the dual matrix is factored once and the spectrum resolved exactly as in
     the vector learner.
     """
-    g = _as_matrix(g, sched, "g")
-    h_next = (
-        np.zeros((sched.m, sched.n)) if h_next is None else _as_matrix(h_next, sched, "h_next")
-    )
-    diff = g - state.h_prev
-    sum_sq = state.sum_sq + spectral_norm(diff) ** 2
-    alpha = sched.eta * math.sqrt(sched.epsilon0 + sum_sq)
-    p = EntropyParams(alpha, sched.beta)
-    f = state.factors
-    grad_x = (f.u * mirror_map(f.s, p)) @ f.vt
-    zf = svd(grad_x - (diff + h_next))
-    spectrum = _resolve_spectrum(zf.s / alpha, p, mode, reg_weight)
-    x = (zf.u * spectrum) @ zf.vt
-    new_state = SpectralOmdState(
-        x=x,
-        factors=SvdFactors(zf.u, spectrum, zf.vt),
-        sum_sq=sum_sq,
-        h_prev=h_next,
-        round=state.round + 1,
-    )
-    return new_state, x
+    return learners._omd_step(MATRICES, state, g, sched, mode, h_next, reg_weight)
 
 
-def spectral_ftrl_init(sched: SpectralSchedule, x1=None) -> SpectralFtrlState:
-    x1 = np.zeros((sched.m, sched.n)) if x1 is None else _as_matrix(x1, sched, "x1")
-    return SpectralFtrlState(
-        g_accum=np.zeros((sched.m, sched.n)),
-        x1=x1.copy(),
-        anchor_factors=svd(x1),
-        sum_sq=0.0,
-        h_prev=np.zeros((sched.m, sched.n)),
-        round=1,
-        reg_rounds=1.0,
-    )
+def spectral_ftrl_init(sched: SpectralSchedule, x1=None) -> FtrlState:
+    return learners._ftrl_init(MATRICES, sched, x1)
 
 
 def spectral_ftrl_step(
-    state: SpectralFtrlState,
+    state: FtrlState,
     g,
     sched: SpectralSchedule,
     mode: FeasibleMode = None,
     h_next=None,
     reg_weight: float = 1.0,
 ):
-    g = _as_matrix(g, sched, "g")
-    h_next = (
-        np.zeros((sched.m, sched.n)) if h_next is None else _as_matrix(h_next, sched, "h_next")
-    )
-    diff = g - state.h_prev
-    sum_sq = state.sum_sq + spectral_norm(diff) ** 2
-    alpha = sched.eta * math.sqrt(sched.epsilon0 + sum_sq)
-    p = EntropyParams(alpha, sched.beta)
-    g_accum = state.g_accum + g
-    reg_rounds = state.reg_rounds + reg_weight
-    af = state.anchor_factors
-    anchor_grad = (af.u * mirror_map(af.s, p)) @ af.vt
-    zf = svd(anchor_grad - g_accum - h_next)
-    spectrum = _resolve_spectrum(zf.s / alpha, p, mode, reg_rounds)
-    x = (zf.u * spectrum) @ zf.vt
-    new_state = SpectralFtrlState(
-        g_accum=g_accum,
-        x1=state.x1,
-        anchor_factors=state.anchor_factors,
-        sum_sq=sum_sq,
-        h_prev=h_next,
-        round=state.round + 1,
-        reg_rounds=reg_rounds,
-    )
-    return new_state, x
+    return learners._ftrl_step(MATRICES, state, g, sched, mode, h_next, reg_weight)
 
 
-class SpectralExpMd:
+class SpectralExpMd(Learner):
     """Stateful spectral mirror-descent learner."""
 
     def __init__(self, sched: SpectralSchedule, mode: FeasibleMode = None, x1=None):
-        self.sched = sched
-        self.mode = mode
-        self.state = spectral_omd_init(sched, x1)
-
-    @property
-    def x(self):
-        return self.state.x
-
-    def step(self, g, h_next=None, reg_weight: float = 1.0):
-        self.state, x = spectral_omd_step(
-            self.state, g, self.sched, mode=self.mode, h_next=h_next, reg_weight=reg_weight
+        state = spectral_omd_init(sched, x1)
+        super().__init__(
+            state, state.x, lambda s, g, h, w: spectral_omd_step(s, g, sched, mode, h, w)
         )
-        return x
 
 
-class SpectralExpFtrl:
+class SpectralExpFtrl(Learner):
     """Stateful spectral leader-following learner."""
 
     def __init__(self, sched: SpectralSchedule, mode: FeasibleMode = None, x1=None):
-        self.sched = sched
-        self.mode = mode
-        self.state = spectral_ftrl_init(sched, x1)
-        self._x = self.state.x1.copy()
-
-    @property
-    def x(self):
-        return self._x
-
-    def step(self, g, h_next=None, reg_weight: float = 1.0):
-        self.state, self._x = spectral_ftrl_step(
-            self.state, g, self.sched, mode=self.mode, h_next=h_next, reg_weight=reg_weight
+        state = spectral_ftrl_init(sched, x1)
+        super().__init__(
+            state, state.x1.copy(), lambda s, g, h, w: spectral_ftrl_step(s, g, sched, mode, h, w)
         )
-        return self._x
