@@ -22,6 +22,7 @@ import numpy as np
 from .entropy import NumericRangeError
 from .learners import Learner, _checked
 from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
+from .spectral import _project_spectrum
 
 __all__ = [
     "DiagProxState",
@@ -153,12 +154,9 @@ def euclidean_nuclear_ball_project(y, radius: float):
     Factors once and projects the singular values onto the simplex-style
     l1 ball (unit weights).
     """
-    y = np.asarray(y, dtype=float)
-    u, s, vt = np.linalg.svd(y, full_matrices=False)
-    if float(np.sum(s)) <= radius:
-        return y.copy()
-    s_proj = weighted_l1_ball_project(s, np.ones_like(s), radius)
-    return (u * s_proj) @ vt
+    return _project_spectrum(
+        y, radius, lambda s: weighted_l1_ball_project(s, np.ones_like(s), radius)
+    )
 
 
 def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
@@ -186,7 +184,7 @@ def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
 def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader: bool):
     """One diagonal round; ``leader`` selects the accumulated-gradient target."""
     g = _checked(g, state.x.shape, "g")
-    h_next = np.zeros_like(g) if h_next is None else np.asarray(h_next, dtype=float)
+    h_next = np.zeros_like(g) if h_next is None else _checked(h_next, g.shape, "h_next")
     diff = g - state.h_prev
     h_diag = state.h_diag + diff * diff
     h_sqrt = np.sqrt(h_diag)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..accelerate import Accelerator
 from ..entropy import NumericRangeError
-from ..zeroth_order import EstimatorConfig, default_smoothing, two_point_grad
+from ..zeroth_order import default_smoothing, two_point_grad
 from . import registry, streams
 
 __all__ = [
@@ -35,7 +35,12 @@ __all__ = [
 
 RNG_IDENTIFIER = "numpy-PCG64/SeedSequence(seed).spawn(trial)"
 
-KINDS = ("logistic", "multitask", "blackbox")
+# each experiment kind and the registry names of its algorithms
+KINDS = {
+    "logistic": registry.VECTOR_ALGORITHMS,
+    "multitask": registry.MATRIX_ALGORITHMS,
+    "blackbox": registry.ACCELERATED_ALGORITHMS,
+}
 RADIUS_FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 
 _NUMERIC_ERRORS = (NumericRangeError, FloatingPointError, np.linalg.LinAlgError)
@@ -58,7 +63,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
         if self.dim < 1 or self.horizon < 0 or self.trials < 1:
             raise ValueError("dim and trials must be >= 1, horizon >= 0")
         if not 0.0 <= self.sparsity <= 1.0:
@@ -135,9 +140,8 @@ def _run_online_algorithm(name, spec, stream, comp_losses, radius, trial):
 def _run_blackbox_algorithm(label, name, batch, spec, problem, seed_seq, trial):
     rng = np.random.default_rng(seed_seq)
     mu = default_smoothing(spec.dim, max(spec.horizon, 1))
-    learner, law = registry.accelerated_family(name, spec.dim, problem.reg)
-    delta = 1.0 if law == "rademacher" else float(spec.dim)
-    cfg = EstimatorConfig(delta=delta, mu=mu, batch=batch, direction_law=law)
+    learner, recipe = registry.accelerated_family(name, spec.dim, problem.reg)
+    cfg = recipe(mu, batch)
     acc = Accelerator(learner)
     records = []
     for t in range(spec.horizon):
@@ -188,9 +192,13 @@ def _run_trial(spec: ExperimentSpec, trial: int, seed_seq) -> tuple[list, list]:
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
     """Run all trials in turn; returns (records, failures) in canonical order.
 
+    An algorithm name the kind does not know raises ``KeyError`` up front.
     ``threads`` has no effect; the interpreter-bound trials ran slower on a
     thread pool.
     """
+    for name in spec.algorithms:
+        if name not in KINDS[spec.kind]:
+            raise KeyError(f"unknown {spec.kind} algorithm {name!r}")
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
     results = [_run_trial(spec, i, seeds[i]) for i in range(spec.trials)]
     records = [r for recs, _ in results for r in recs]

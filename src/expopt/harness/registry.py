@@ -2,16 +2,19 @@
 
 Online (regret) experiments use learners exposing ``.x`` and ``.step(g)``;
 the black-box experiment wraps accelerated learners around two-point
-gradient estimators, pairing each family with its direction law.
+gradient estimators, pairing each family with its estimator recipe.
 """
+
+import functools
 
 import numpy as np
 
 from .. import baselines
 from ..baselines import AdaFtrl, AdaGrad, EgPm, diag_init, euclidean_nuclear_ball_project
-from ..learners import ExpFtrl, ExpMd, Learner, ScheduleParams
+from ..learners import ExpFtrl, ExpMd, Learner, ScheduleParams, _checked
 from ..prox import BallConstraint, CompositeRegularizer
 from ..spectral import SpectralExpFtrl, SpectralExpMd, SpectralSchedule
+from ..zeroth_order import rademacher_config, sphere_config
 
 __all__ = [
     "VECTOR_ALGORITHMS",
@@ -55,8 +58,9 @@ def _diag_nuclear(name: str, m: int, n: int, radius: float) -> Learner:
     def advance(state, g, h_next, reg_weight):
         # looked up on every step, as AdaGrad and AdaFtrl look up theirs
         step = baselines.adagrad_step if name == "adagrad" else baselines.adaftrl_step
-        h_flat = None if h_next is None else np.ravel(h_next)
-        st, target = step(state, np.ravel(g), None, h_flat, reg_weight)
+        g = _checked(g, (m, n), "g")
+        h_flat = None if h_next is None else _checked(h_next, (m, n), "h_next").ravel()
+        st, target = step(state, g.ravel(), None, h_flat, reg_weight)
         x = euclidean_nuclear_ball_project(target.reshape(m, n), radius)
         st = baselines.DiagProxState(
             st.h_diag, st.g_accum, x.ravel(), st.h_prev, st.round, st.reg_rounds
@@ -79,17 +83,19 @@ def build_matrix_learner(name: str, m: int, n: int, radius: float):
 
 
 def accelerated_family(name: str, dim: int, reg: CompositeRegularizer, radius: float = 1.0):
-    """Inner learner and estimator family for an accelerated algorithm.
+    """Inner learner and estimator recipe for an accelerated algorithm.
 
-    Exponentiated learners pair with Rademacher directions (delta = 1),
-    diagonal ones with unit-sphere directions (delta = dim).
+    The recipe maps ``(mu, batch)`` to the family's
+    :class:`~expopt.zeroth_order.EstimatorConfig`: Rademacher directions
+    (delta = 1) for exponentiated learners, unit-sphere directions
+    (delta = dim) for diagonal ones.
     """
     if name == "acc_exp_md":
-        return ExpMd(ScheduleParams(dim, radius), mode=reg), "rademacher"
+        return ExpMd(ScheduleParams(dim, radius), mode=reg), rademacher_config
     if name == "acc_exp_ftrl":
-        return ExpFtrl(ScheduleParams(dim, radius), mode=reg), "rademacher"
+        return ExpFtrl(ScheduleParams(dim, radius), mode=reg), rademacher_config
     if name == "acc_adagrad":
-        return AdaGrad(dim, mode=reg), "sphere"
+        return AdaGrad(dim, mode=reg), functools.partial(sphere_config, dim)
     if name == "acc_adaftrl":
-        return AdaFtrl(dim, mode=reg), "sphere"
+        return AdaFtrl(dim, mode=reg), functools.partial(sphere_config, dim)
     raise KeyError(f"unknown accelerated algorithm {name!r}")

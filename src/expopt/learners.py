@@ -15,8 +15,9 @@ dual coordinates are clamped by the constraint without overflowing.
 
 One mirror-descent body and one leader-following body serve vectors and
 matrices alike, over a :data:`Geometry` (:data:`VECTORS` here, the spectral
-one in :mod:`expopt.spectral`).  A non-finite or overflowing gradient
-mismatch raises :class:`NumericRangeError` at the step boundary.
+one in :mod:`expopt.spectral`).  A non-finite hint, or a non-finite or
+overflowing gradient mismatch, raises :class:`NumericRangeError` at the
+step boundary, before any state changes.
 """
 
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EXP_ARG_LIMIT, EntropyParams, NumericRangeError
+from .entropy import EntropyParams, NumericRangeError, mirror_map_inv
 from .prox import (
     BallConstraint,
     CompositeRegularizer,
@@ -121,28 +122,19 @@ class FtrlState:
     reg_rounds: float
 
 
-def _logsumexp(values):
-    m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
-
-
 def resolve_dual_point(z, p: EntropyParams, mode: FeasibleMode, reg_weight: float = 1.0):
     """Map a dual vector to the feasible primal point of the configured mode.
 
-    Free mode applies the inverse mirror map directly (raising
-    :class:`NumericRangeError` past the exponent range); ball and
-    regularized modes stay in the log domain throughout.
+    Free mode is the inverse mirror map, :func:`~expopt.entropy.mirror_map_inv`
+    (raising :class:`NumericRangeError` past the exponent range or on a NaN).
+    Ball and regularized modes stay in the log domain throughout; the ball
+    projection passes a point that is already inside through.
     """
+    if mode is None:
+        return mirror_map_inv(z, p)
     scale = np.abs(z) / p.alpha
     signs = np.sign(z)
-    if mode is None:
-        if float(np.max(scale)) > EXP_ARG_LIMIT:
-            raise NumericRangeError("free-mode iterate exceeds the floating-point range")
-        return p.beta * np.expm1(scale) * signs
     if isinstance(mode, BallConstraint):
-        # feasible iff sum_i beta*(exp(L_i) - 1) <= radius
-        if _logsumexp(scale) <= math.log(mode.radius / p.beta + scale.size):
-            return p.beta * np.expm1(scale) * signs
         return l1_ball_project_from_log(scale, signs, mode, p)
     if isinstance(mode, CompositeRegularizer):
         return elastic_net_prox_from_log(scale, signs, mode.scaled(reg_weight), p)
@@ -176,8 +168,13 @@ def _checked(v, shape, name):
 
 def _inputs(geo, sched, g, h_next):
     shape = geo.shape(sched)
-    h_next = np.zeros(shape) if h_next is None else _checked(h_next, shape, "h_next")
-    return _checked(g, shape, "g"), h_next
+    g = _checked(g, shape, "g")
+    if h_next is None:
+        return g, np.zeros(shape)
+    h_next = _checked(h_next, shape, "h_next")
+    if not np.isfinite(h_next).all():
+        raise NumericRangeError("hint h_next is not finite")
+    return g, h_next
 
 
 def _round_params(geo, sched, sum_sq, diff):

@@ -16,8 +16,17 @@ log-domain projection needs no sort: a pivot loop in the style of Michelot
 (see Duchi et al. 2008 and Condat 2016) shrinks an active set onto the
 support in at most ``d`` passes, each linear in the active set; on the
 learners' inputs it stops after two or three.
+
+Every ball projection (the two l1 ones here, the nuclear one in
+:mod:`expopt.spectral`, the weighted l1 and Euclidean nuclear ones in
+:mod:`expopt.baselines`) decides feasibility itself, from the sums it
+projects with: a point inside the ball or on its boundary passes through
+unchanged (the log-domain one returns its primal image), one outside lands
+on the sphere, and a non-finite input raises
+:class:`~expopt.entropy.NumericRangeError`.  Callers never test first.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,13 +134,13 @@ def elastic_net_prox_from_log(log_scale, signs, reg: CompositeRegularizer, p: En
 
 
 def l1_ball_project(y, ball: BallConstraint, p: EntropyParams, ops: dict | None = None):
-    """Bregman projection of ``y`` onto the l1 ball, assuming ``||y||_1 > D``.
+    """Bregman projection of ``y`` onto the l1 ball (a copy of ``y`` if inside).
 
     Sorts the magnitudes ascending, locates the support breakpoint by a
     linear scan of the suffix statistics, and rescales the surviving
     coordinates by a common factor.  ``ops``, when given, is filled with
-    the number of sorts and full-array passes performed (the work is one
-    sort plus a constant number of O(d) passes).
+    the number of sorts and full-array passes performed (outside the ball,
+    one sort plus a constant number of O(d) passes).
 
     Raises :class:`NumericRangeError` when ``||y||_1`` is not finite (a NaN
     or infinite coordinate, or a sum that overflows).
@@ -142,6 +151,11 @@ def l1_ball_project(y, ball: BallConstraint, p: EntropyParams, ops: dict | None 
     beta = p.beta
 
     abs_y = np.abs(y)
+    if np.sum(abs_y) <= radius:
+        if ops is not None:
+            ops["sorts"] = 0
+            ops["passes"] = 2  # abs, sum
+        return y.copy()
     mags = np.sort(abs_y)  # ascending
     suffix = np.cumsum(mags[::-1])[::-1]  # suffix[j] = sum_{i >= j} mags[i]
     if not np.isfinite(suffix[0]):
@@ -159,6 +173,9 @@ def l1_ball_project(y, ball: BallConstraint, p: EntropyParams, ops: dict | None 
     return out
 
 
+project_or_pass = l1_ball_project
+
+
 def l1_ball_project_from_log(log_scale, signs, ball: BallConstraint, p: EntropyParams):
     """Log-domain twin of :func:`l1_ball_project`.
 
@@ -166,9 +183,11 @@ def l1_ball_project_from_log(log_scale, signs, ball: BallConstraint, p: EntropyP
     dual coordinates project without ever forming ``|y_i|``.  Output
     coordinates are bounded by the radius, hence always representable.
 
-    The support is found without sorting.  Starting from the active set
-    ``A`` of all coordinates, each pass takes ``S = ln sum_A exp(L_i)`` and
-    ``k = |A|`` and drops every ``i`` with
+    Inside the ball (``S - ln(radius/beta + d) <= 0`` for ``S`` below) the
+    output is ``beta*expm1(L)*signs``.  Otherwise the support is found
+    without sorting.  Starting from the active set ``A`` of all
+    coordinates, each pass takes ``S = ln sum_A exp(L_i)`` and ``k = |A|``
+    and drops every ``i`` with
     ``L_i <= S + ln(beta) - ln(radius + k*beta)``; it stops at the first
     pass that drops nothing, and the output is
     ``max((radius + k*beta) * exp(L - S) - beta, 0) * signs``.  Dropping a
@@ -182,33 +201,27 @@ def l1_ball_project_from_log(log_scale, signs, ball: BallConstraint, p: EntropyP
     """
     L = np.asarray(log_scale, dtype=float)
     signs = np.asarray(signs, dtype=float)
-    if not np.all(np.isfinite(L)):
+    # ahead of the feasibility test, which a -inf entry would pass
+    if not np.isfinite(L).all():
         raise NumericRangeError("l1-ball projection got a non-finite log scale")
     radius = ball.radius
     beta = p.beta
 
-    ratios = np.exp(L - np.max(L))  # the largest coordinate has ratio exactly 1
+    top = L.max()
+    ratios = np.exp(L - top)  # the largest coordinate has ratio exactly 1
+    total = float(ratios.sum())
+    k = L.size
+    if top + math.log(total) <= math.log(radius / beta + k):
+        return beta * np.expm1(L) * signs
     active = ratios
     for _ in range(L.size):
-        k = active.size
-        total = float(np.sum(active))
         # capped below 1 so that rounding cannot drop the largest coordinate
         cut = min(total * beta / (radius + k * beta), _BELOW_ONE)
         kept = active[active > cut]
         if kept.size == k:
             break
         active = kept
+        k = active.size
+        total = float(active.sum())
     out = np.maximum((radius + k * beta) / total * ratios - beta, 0.0)
     return out * signs
-
-
-def project_or_pass(y, ball: BallConstraint, p: EntropyParams):
-    """Checked projection: returns ``y`` unchanged when already feasible.
-
-    A non-finite ``||y||_1`` is never feasible, so it raises
-    :class:`NumericRangeError` from :func:`l1_ball_project`.
-    """
-    y = np.asarray(y, dtype=float)
-    if np.sum(np.abs(y)) <= ball.radius:
-        return y.copy()
-    return l1_ball_project(y, ball, p)

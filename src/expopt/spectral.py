@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .entropy import EntropyParams, entropy, mirror_map
+from .entropy import EntropyParams, NumericRangeError, entropy, mirror_map
 from .learners import FtrlState, Geometry, Learner, OmdState
 from .prox import (
     BallConstraint,
@@ -142,18 +142,24 @@ def spectral_prox(y, reg: CompositeRegularizer, p: EntropyParams) -> np.ndarray:
     return (f.u * shrunk) @ f.vt
 
 
-def nuclear_ball_project(y, ball: BallConstraint, p: EntropyParams) -> np.ndarray:
-    """Bregman projection onto the nuclear ball, assuming ``||y||_* > D``."""
-    f = svd(y)
-    projected = l1_ball_project(f.s, ball, p)
-    return (f.u * projected) @ f.vt
-
-
-def nuclear_project_or_pass(y, ball: BallConstraint, p: EntropyParams) -> np.ndarray:
+def _project_spectrum(y, radius: float, project) -> np.ndarray:
+    """A copy of ``y`` inside the nuclear ball; outside, ``y`` with spectrum ``project(s)``."""
     y = np.asarray(y, dtype=float)
-    if nuclear_norm(y) <= ball.radius:
+    # ahead of the SVD: on a 5x4 input with an infinite entry it ran 20 s without returning
+    if not np.isfinite(y).all():
+        raise NumericRangeError("nuclear-ball projection got a non-finite entry")
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    if float(np.sum(s)) <= radius:
         return y.copy()
-    return nuclear_ball_project(y, ball, p)
+    return (u * project(s)) @ vt
+
+
+def nuclear_ball_project(y, ball: BallConstraint, p: EntropyParams) -> np.ndarray:
+    """Bregman projection onto the nuclear ball: :func:`l1_ball_project` of the spectrum."""
+    return _project_spectrum(y, ball.radius, lambda s: l1_ball_project(s, ball, p))
+
+
+nuclear_project_or_pass = nuclear_ball_project
 
 
 def _matrix_norm(d):

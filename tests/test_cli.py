@@ -108,3 +108,47 @@ class TestProps:
         assert main(["props"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+class TestBlackboxExitCodes:
+    """Exit 3 only when no (algorithm, trial) pair of any batch variant survives."""
+
+    def run(self, tmp_path, monkeypatch, survivors):
+        import numpy as np
+
+        from expopt import NumericRangeError
+        from expopt.harness import registry
+        from expopt.zeroth_order import rademacher_config
+
+        class Exploding:
+            x = np.zeros(4)
+
+            def step(self, g, h_next=None, reg_weight=1.0):
+                raise NumericRangeError("boom")
+
+        real = registry.accelerated_family
+        built = []
+
+        def family(name, dim, reg, radius=1.0):
+            built.append(name)
+            if len(built) <= survivors:
+                return real(name, dim, reg, radius)
+            return Exploding(), rademacher_config
+
+        monkeypatch.setattr(registry, "accelerated_family", family)
+        cfg = small_config(
+            tmp_path, kind="blackbox", dim=4, horizon=9, trials=1, sparsity=0.0,
+            algorithms=["acc_exp_md", "acc_adagrad"],
+        )
+        out = tmp_path / "o.csv"
+        code = main(["blackbox", "--config", str(cfg), "--out", str(out)])
+        meta = json.loads((tmp_path / "o.csv.meta.json").read_text())
+        assert len(built) == 4  # two algorithms at batch 1 and at sqrt(T)
+        assert len(meta["failures"]) == 4 - survivors
+        return code
+
+    def test_every_variant_failing_exits_3(self, tmp_path, monkeypatch):
+        assert self.run(tmp_path, monkeypatch, survivors=0) == 3
+
+    def test_one_surviving_variant_exits_0(self, tmp_path, monkeypatch):
+        assert self.run(tmp_path, monkeypatch, survivors=1) == 0

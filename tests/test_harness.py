@@ -363,3 +363,30 @@ class TestLogisticOracle:
             assert grad.tobytes() == expected.tobytes()
             assert logistic_loss(w, x, y) == loss
             assert np.array_equal(logistic_grad(w, x, y), grad)
+
+
+class TestAlgorithmNamesCheckedFirst:
+    @pytest.mark.parametrize(
+        "kind,builder,known,extra",
+        [
+            ("logistic", "build_vector_learner", "exp_md", {}),
+            ("multitask", "build_matrix_learner", "spectral_exp_md", {"tasks": 3, "rank": 1}),
+            ("blackbox", "accelerated_family", "acc_exp_md", {}),
+        ],
+    )
+    def test_unknown_name_fails_before_any_build(self, monkeypatch, kind, builder, known, extra):
+        real = getattr(registry, builder)
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(registry, builder, counted)
+        spec = ExperimentSpec(
+            kind=kind, dim=4, horizon=3, trials=2, sparsity=0.0,
+            algorithms=(known, "nope"), seed=1, **extra,
+        )
+        with pytest.raises(KeyError, match="nope"):
+            run_experiment(spec)
+        assert builds == []

@@ -127,3 +127,45 @@ class TestHarnessNonFiniteValues:
         for f in failures:
             rows = [r.round for r in records if r.algorithm == f.algorithm]
             assert rows == list(range(1, f.round))
+
+
+@pytest.mark.parametrize("mode_name", list(MODES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [vector_learners, matrix_learners])
+def test_non_finite_hint_is_rejected_at_the_step_boundary(make, bad, mode_name):
+    for learner in make(MODES[mode_name]):
+        learner.step(0.1 * np.ones_like(learner.x))
+        state, x = learner.state, learner.x.copy()
+        h = np.zeros_like(learner.x)
+        h.flat[0] = bad
+        with pytest.raises(NumericRangeError):
+            learner.step(0.5 * np.ones_like(learner.x), h_next=h)
+        assert learner.state is state
+        assert np.array_equal(learner.x, x)
+
+
+@pytest.mark.parametrize("cls", [AdaGrad, AdaFtrl])
+@pytest.mark.parametrize("hint", [0.5, np.ones(2), np.ones((3, 1))])
+def test_diagonal_learners_reject_a_misshapen_hint(cls, hint):
+    learner = cls(3, mode=MODES["ball"])
+    learner.step(0.1 * np.ones(3))
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(ValueError, match="h_next"):
+        learner.step(np.ones(3), h_next=hint)
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
+
+
+@pytest.mark.parametrize("name", ["adagrad", "adaftrl"])
+def test_matrix_diagonal_learners_reject_a_transposed_input(name):
+    from expopt.harness import registry
+
+    learner = registry.build_matrix_learner(name, 3, 2, 2.0)
+    learner.step(0.1 * np.ones((3, 2)))
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(ValueError, match="h_next"):
+        learner.step(np.ones((3, 2)), h_next=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="g has shape"):
+        learner.step(np.ones((2, 3)))
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
