@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import NumericRangeError
-from .learners import Learner, _checked
+from .learners import Learner, _checked, _checked_hint
 from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
 from .spectral import _project_spectrum
 
@@ -266,9 +266,14 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     sum_sq = state.sum_sq + gmax**2
     if stepsize is None:
         stepsize = 1.0 / math.sqrt(1e-12 + sum_sq)
-    doubled = 0.5 * radius * np.concatenate([g, -g])
-    logits = state.log_weights - stepsize * doubled
-    logits = logits - np.max(logits)
+    # the doubled gradient is [u, -u]; negation is exact, so subtracting u
+    # from one half and adding it to the other gives the same bits
+    u = stepsize * (0.5 * radius * g)
+    lw = state.log_weights
+    logits = np.empty_like(lw)
+    np.subtract(lw[:d], u, out=logits[:d])
+    np.add(lw[d:], u, out=logits[d:])
+    logits -= np.max(logits)
     mass = np.exp(logits)
     total = float(np.sum(mass))
     weights = radius * mass / total
@@ -302,11 +307,17 @@ class AdaFtrl(Learner):
 class EgPm(Learner):
     """Stateful signed multiplicative-weights baseline on a radius-D ball.
 
-    Hints and regularizer weights are accepted and ignored.
+    Hints and regularizer weights are accepted and ignored, but a given hint
+    is checked as every learner checks it: a shape other than ``(dim,)``
+    raises ``ValueError`` and a non-finite entry :class:`NumericRangeError`,
+    before the state changes.
     """
 
     def __init__(self, dim: int, radius: float, stepsize: float | None = None):
+        def advance(state, g, h_next, reg_weight):
+            if h_next is not None:
+                _checked_hint(h_next, (dim,))
+            return eg_pm_step(state, g, radius, stepsize)
+
         # equal weights on both halves: the decision starts at the origin
-        super().__init__(
-            eg_pm_init(dim), np.zeros(dim), lambda s, g, h, w: eg_pm_step(s, g, radius, stepsize)
-        )
+        super().__init__(eg_pm_init(dim), np.zeros(dim), advance)

@@ -4,9 +4,11 @@ Subcommands ``logistic``, ``multitask`` and ``blackbox`` run the synthetic
 experiments and write a CSV plus a JSON metadata sidecar; ``props`` runs
 the quick property suites.  Exit codes: 0 on success, 2 for configuration
 errors, 3 when no (algorithm, trial) pair finished without a numeric failure.
+A run pins OpenBLAS to one thread and restores its thread count on exit.
 """
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -85,9 +87,62 @@ def _load_spec(args) -> ExperimentSpec:
     return ExperimentSpec.from_dict(data)
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+# (getter, setter) pairs, tried in order: the scipy-openblas wheels that
+# numpy ships, an ILP64 OpenBLAS, a plain OpenBLAS.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
+
+def _openblas():
+    """``(path, get, set)`` for the first loaded OpenBLAS, or None.
+
+    Reads the mapped libraries from ``/proc/self/maps``; a library that
+    exports none of the thread functions, or a platform without that file,
+    yields None.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "blas" in ln.lower() and ".so" in ln})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file was deleted or renamed
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return path, get, set_
+    return None
+
+
+def main(argv=None) -> int:
+    """Run one subcommand with OpenBLAS on one thread; returns the exit code.
+
+    One thread, because at the harness's sizes a BLAS worker thread spins
+    beside the main one without speeding it up.  The previous thread count
+    is restored on exit, so an in-process caller keeps its own setting.
+    """
+    args = _build_parser().parse_args(argv)
+    blas = _openblas()
+    if blas is None:
+        return _run(args, None)
+    path, get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        return _run(args, {"library": path, "threads_before": before, "threads": get()})
+    finally:
+        set_(before)
+
+
+def _run(args, blas: dict | None) -> int:
     if args.command == "props":
         from .props import run_all
 
@@ -106,7 +161,7 @@ def main(argv=None) -> int:
         return 2
 
     write_csv(records, args.out)
-    meta_path = write_metadata(spec, args.out, failures, __version__)
+    meta_path = write_metadata(spec, args.out, failures, __version__, blas=blas)
     print(f"wrote {len(records)} records to {args.out} (metadata: {meta_path})")
 
     finals = final_values(records)

@@ -216,13 +216,21 @@ def write_csv(records, path) -> None:
             fh.write(f"{r.experiment},{r.algorithm},{r.trial},{r.round},{float(r.value)!r}\n")
 
 
-def write_metadata(spec: ExperimentSpec, csv_path, failures, version: str) -> str:
-    """Sidecar JSON next to the CSV; returns its path."""
+def write_metadata(
+    spec: ExperimentSpec, csv_path, failures, version: str, blas: dict | None = None
+) -> str:
+    """Sidecar JSON next to the CSV; returns its path.
+
+    ``blas`` records the BLAS thread pin of the run as
+    ``{"library", "threads_before", "threads"}``; without one every field is
+    null (nothing was pinned).
+    """
     meta_path = f"{csv_path}.meta.json"
     payload = {
         "spec": spec.to_dict(),
         "library_version": version,
         "rng": RNG_IDENTIFIER,
+        "blas": blas or {"library": None, "threads_before": None, "threads": None},
         "failures": [
             {"algorithm": f.algorithm, "trial": f.trial, "round": f.round, "error": f.error}
             for f in failures

@@ -81,9 +81,29 @@ def gen_logistic_stream(
     return LogisticStream(w_star=w_star, features=features, labels=labels)
 
 
+# OpenBLAS computes a ddot of at most this many elements on one thread; above
+# it, the thread count decides how the partial sums are split and added.
+_DOT_LEAF = 10_000
+
+
+def _fixed_order_dot(a, b) -> float:
+    """``a . b`` summed in an order fixed by the code, not by the BLAS threads.
+
+    ``np.dot`` up to ``_DOT_LEAF`` elements, otherwise the sum of this
+    reduction over the halves ``[:n//2]`` and ``[n//2:]``.  Every leaf runs
+    on one thread, so no BLAS worker wakes up; at 20 000 elements the result
+    equals a two-thread OpenBLAS ``np.dot`` bit for bit.
+    """
+    n = a.size
+    if n <= _DOT_LEAF:
+        return float(np.dot(a, b))
+    h = n // 2
+    return _fixed_order_dot(a[:h], b[:h]) + _fixed_order_dot(a[h:], b[h:])
+
+
 def logistic_loss_grad(w, x, y):
     """Loss ``ln(1 + exp(-y * w.x))`` and its gradient, sharing the margin."""
-    m = y * float(np.dot(w, x))
+    m = y * _fixed_order_dot(w, x)
     loss = float(np.logaddexp(0.0, -m))
     return loss, (-y * _sigmoid_scalar(-m)) * x
 

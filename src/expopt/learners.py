@@ -166,15 +166,20 @@ def _checked(v, shape, name):
     return v
 
 
+def _checked_hint(h_next, shape):
+    """A given hint of the right shape; raises NumericRangeError if not finite."""
+    h_next = _checked(h_next, shape, "h_next")
+    if not np.isfinite(h_next).all():
+        raise NumericRangeError("hint h_next is not finite")
+    return h_next
+
+
 def _inputs(geo, sched, g, h_next):
     shape = geo.shape(sched)
     g = _checked(g, shape, "g")
     if h_next is None:
         return g, np.zeros(shape)
-    h_next = _checked(h_next, shape, "h_next")
-    if not np.isfinite(h_next).all():
-        raise NumericRangeError("hint h_next is not finite")
-    return g, h_next
+    return g, _checked_hint(h_next, shape)
 
 
 def _round_params(geo, sched, sum_sq, diff):

@@ -107,18 +107,24 @@ def elastic_net_prox_from_log(log_scale, signs, reg: CompositeRegularizer, p: En
         when ``y`` is the image of a dual point ``z``).
     signs : array
         Signs to attach to the nonzero outputs.
+
+    Raises :class:`NumericRangeError` when an active entry (one above
+    ``l1/alpha``, or NaN) is not finite, or the output would overflow.
+    Only the active entries are checked: an inactive one maps to 0.
     """
     log_scale = np.asarray(log_scale, dtype=float)
     signs = np.asarray(signs, dtype=float)
     threshold = reg.l1 / p.alpha
     out = np.zeros_like(log_scale)
-    active = log_scale > threshold
+    # negated so that a NaN, which fails every comparison, counts as active
+    active = ~(log_scale <= threshold)
     if not np.any(active):
         return out
 
     if reg.l2 == 0.0:
         excess = log_scale[active] - threshold
-        if np.max(excess) + np.log(p.beta) > EXP_ARG_LIMIT:
+        # negated so that a NaN excess raises too
+        if not np.max(excess) + np.log(p.beta) <= EXP_ARG_LIMIT:
             raise NumericRangeError("l1-only prox output exceeds float range")
         out[active] = p.beta * np.expm1(excess)
     else:
@@ -128,6 +134,8 @@ def elastic_net_prox_from_log(log_scale, signs, reg: CompositeRegularizer, p: En
         # in Lambert form m = w0(a*b*exp(a*b - c))/b - a with the argument
         # kept in the log domain.
         s = np.log(a * b) + a * b - (threshold - log_scale[active])
+        if not np.isfinite(s).all():
+            raise NumericRangeError("elastic-net prox got a non-finite log scale")
         w, _ = _w0_log_array(s)
         out[active] = np.maximum(w / b - a, 0.0)
     return signs * out

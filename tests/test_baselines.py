@@ -300,3 +300,43 @@ class TestEgPm:
         for _ in range(50):
             st, x = eg_pm_step(st, rng.uniform(-1, 1, 3), radius=2.0)
             assert np.sum(np.exp(st.log_weights)) * 2.0 == pytest.approx(2.0, rel=1e-9)
+
+
+def reference_eg_pm_step(state, g, radius, stepsize=None):
+    """The eg_pm step as it was written with the doubled gradient concatenated, kept verbatim."""
+    import math
+
+    from expopt import EgPmState
+
+    g = np.asarray(g, dtype=float)
+    d = g.size
+    gmax = float(np.max(np.abs(g))) if d else 0.0
+    sum_sq = state.sum_sq + gmax**2
+    if stepsize is None:
+        stepsize = 1.0 / math.sqrt(1e-12 + sum_sq)
+    doubled = 0.5 * radius * np.concatenate([g, -g])
+    logits = state.log_weights - stepsize * doubled
+    logits = logits - np.max(logits)
+    mass = np.exp(logits)
+    total = float(np.sum(mass))
+    weights = radius * mass / total
+    x = weights[:d] - weights[d:]
+    new_state = EgPmState(
+        log_weights=logits - math.log(total), sum_sq=sum_sq, round=state.round + 1
+    )
+    return new_state, x
+
+
+@pytest.mark.parametrize("d", [5, 500, 20_000])
+@pytest.mark.parametrize("stepsize", [None, 0.7])
+def test_eg_pm_step_matches_the_concatenating_reference_bit_for_bit(d, stepsize):
+    rng = np.random.default_rng(d)
+    st = ref = eg_pm_init(d)
+    for t in range(200):
+        # sparse logistic-like gradients, with occasional large ones
+        g = rng.uniform(-1, 1, d) * (50.0 if t % 37 == 0 else 1.0)
+        st, x = eg_pm_step(st, g, radius=0.5 * d**0.5, stepsize=stepsize)
+        ref, x_ref = reference_eg_pm_step(ref, g, radius=0.5 * d**0.5, stepsize=stepsize)
+        assert x.tobytes() == x_ref.tobytes()
+        assert st.log_weights.tobytes() == ref.log_weights.tobytes()
+        assert st.sum_sq == ref.sum_sq and st.round == ref.round

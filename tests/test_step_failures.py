@@ -169,3 +169,68 @@ def test_matrix_diagonal_learners_reject_a_transposed_input(name):
         learner.step(np.ones((2, 3)))
     assert learner.state is state
     assert np.array_equal(learner.x, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eg_pm_rejects_a_non_finite_hint(bad):
+    from expopt import EgPm
+
+    learner = EgPm(3, 2.0)
+    learner.step(0.1 * np.ones(3))
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(NumericRangeError):
+        learner.step(0.5 * np.ones(3), h_next=np.array([0.0, bad, 0.0]))
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
+
+
+@pytest.mark.parametrize("hint", [0.5, np.ones(2), np.ones((3, 1))])
+def test_eg_pm_rejects_a_misshapen_hint(hint):
+    from expopt import EgPm
+
+    learner = EgPm(3, 2.0)
+    learner.step(0.1 * np.ones(3))
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(ValueError, match="h_next"):
+        learner.step(np.ones(3), h_next=hint)
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
+
+
+def test_eg_pm_ignores_the_value_of_a_finite_hint():
+    from expopt import EgPm
+
+    plain, hinted = EgPm(3, 2.0), EgPm(3, 2.0)
+    for g in ([0.3, -0.1, 0.2], [-0.5, 0.4, 0.0]):
+        assert np.array_equal(plain.step(np.array(g)), hinted.step(np.array(g), h_next=np.ones(3)))
+
+
+def test_elastic_net_ftrl_raises_instead_of_returning_nan():
+    # the hint is finite, but ln(|z|/beta + 1) = |z|/alpha overflows to inf
+    learner = ExpFtrl(ScheduleParams(3, 1.0), mode=CompositeRegularizer(0.1, 0.1))
+    huge = np.full(3, 1e308)
+    steps = [(np.zeros(3), huge)] + [(huge, huge)] * 3
+    raised = 0
+    for g, h in steps:
+        state, x = learner.state, learner.x.copy()
+        try:
+            with np.errstate(over="ignore"):
+                out = learner.step(g, h_next=h)
+        except NumericRangeError:
+            raised += 1
+            assert learner.state is state
+            assert np.array_equal(learner.x, x)
+        else:
+            assert np.isfinite(out).all()
+    assert raised > 0
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_elastic_net_prox_from_log_rejects_a_non_finite_active_entry(l2, bad):
+    from expopt import EntropyParams, elastic_net_prox_from_log
+
+    p = EntropyParams(alpha=1.0, beta=0.5)
+    log_scale = np.array([0.0, 2.0, bad])
+    with pytest.raises(NumericRangeError):
+        elastic_net_prox_from_log(log_scale, np.ones(3), CompositeRegularizer(0.1, l2), p)
