@@ -86,6 +86,7 @@ from .zeroth_order import (
     rademacher_config,
     sphere_config,
     two_point_grad,
+    two_point_grad_rows,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import NumericRangeError
-from .learners import Learner, _checked, _checked_hint
+from .learners import Learner, _add_square, _checked, _checked_hint
 from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
 from .spectral import _project_spectrum
 
@@ -163,22 +163,24 @@ def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
     """Minimize <q, x> + reg + 1/2 x' diag(h_sqrt) x shifted to ``target``.
 
     ``target`` is the unconstrained minimizer; ball mode projects it in the
-    weighted metric, elastic net has the coordinatewise soft threshold.
-    A non-finite target raises :class:`NumericRangeError` (in ball mode
-    through the projection's own l1 sum).
+    weighted metric, elastic net has the coordinatewise soft threshold of
+    ``target * h_sqrt``.  A non-finite target, or in elastic-net mode a
+    non-finite ``target * h_sqrt`` (an overflowed ``h_sqrt`` times a zero
+    target is NaN), raises :class:`NumericRangeError` (in ball mode through
+    the projection's own l1 sum).
     """
     if isinstance(mode, BallConstraint):
         return weighted_l1_ball_project(target, h_sqrt, mode.radius)
-    if not np.isfinite(target).all():
+    if mode is not None and not isinstance(mode, CompositeRegularizer):
+        raise TypeError(f"unsupported feasibility mode: {mode!r}")
+    q = target if mode is None else target * h_sqrt
+    if not np.isfinite(q).all():
         raise NumericRangeError("diagonal step got a non-finite gradient or hint")
     if mode is None:
         return target
-    if isinstance(mode, CompositeRegularizer):
-        l1 = mode.l1 * reg_weight
-        l2 = mode.l2 * reg_weight
-        q = target * h_sqrt
-        return np.sign(q) * np.maximum(np.abs(q) - l1, 0.0) / (h_sqrt + l2)
-    raise TypeError(f"unsupported feasibility mode: {mode!r}")
+    l1 = mode.l1 * reg_weight
+    l2 = mode.l2 * reg_weight
+    return np.sign(q) * np.maximum(np.abs(q) - l1, 0.0) / (h_sqrt + l2)
 
 
 def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader: bool):
@@ -256,14 +258,13 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     including the current round.  Returns the new state and the signed
     difference of the two weight halves (l1 norm at most ``radius``).
 
-    Raises :class:`NumericRangeError` when ``g`` is not finite.
+    Raises :class:`NumericRangeError` when ``g`` is not finite or the sum
+    of squared max-norms overflows.
     """
     g = np.asarray(g, dtype=float)
     d = g.size
     gmax = float(np.max(np.abs(g))) if d else 0.0
-    if not math.isfinite(gmax):
-        raise NumericRangeError("eg_pm step got a non-finite gradient")
-    sum_sq = state.sum_sq + gmax**2
+    sum_sq = _add_square(state.sum_sq, gmax, "eg_pm step's gradient")
     if stepsize is None:
         stepsize = 1.0 / math.sqrt(1e-12 + sum_sq)
     # the doubled gradient is [u, -u]; negation is exact, so subtracting u

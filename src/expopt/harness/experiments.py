@@ -12,13 +12,14 @@ which writes no row.
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..accelerate import Accelerator
 from ..entropy import NumericRangeError
-from ..zeroth_order import default_smoothing, two_point_grad
+from ..zeroth_order import default_smoothing, two_point_grad_rows
 from . import registry, streams
 
 __all__ = [
@@ -44,6 +45,17 @@ KINDS = {
 RADIUS_FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 
 _NUMERIC_ERRORS = (NumericRangeError, FloatingPointError, np.linalg.LinAlgError)
+_INTEGER_FIELDS = ("dim", "horizon", "trials", "tasks", "rank", "seed")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int: integers and numpy integers pass, bools do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,14 +76,22 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
-        if self.dim < 1 or self.horizon < 0 or self.trials < 1:
-            raise ValueError("dim and trials must be >= 1, horizon >= 0")
+        for name in _INTEGER_FIELDS:
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if min(self.dim, self.trials, self.tasks) < 1:
+            raise ValueError("dim, trials and tasks must be >= 1")
+        if min(self.horizon, self.rank, self.seed) < 0:
+            raise ValueError("horizon, rank and seed must be >= 0")
         if not 0.0 <= self.sparsity <= 1.0:
             raise ValueError("sparsity must lie in [0, 1]")
         if self.radius_mode not in RADIUS_FACTORS:
             raise ValueError(f"radius_mode must be one of {tuple(RADIUS_FACTORS)}")
         if self.kind == "multitask" and self.rank > min(self.dim, self.tasks):
             raise ValueError("rank cannot exceed min(dim, tasks)")
+        if not isinstance(self.algorithms, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.algorithms
+        ):
+            raise TypeError(f"algorithms must be a list of names, got {self.algorithms!r}")
         if not self.algorithms:
             raise ValueError("algorithms list must not be empty")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -146,7 +166,7 @@ def _run_blackbox_algorithm(label, name, batch, spec, problem, seed_seq, trial):
     records = []
     for t in range(spec.horizon):
         try:
-            z = acc.step(lambda v: two_point_grad(problem.smooth, v, cfg, rng))
+            z = acc.step(lambda v: two_point_grad_rows(problem.smooth, v, cfg, rng))
             value = problem.objective(z)
             if not math.isfinite(value):
                 raise NumericRangeError(f"objective value is not finite ({value})")

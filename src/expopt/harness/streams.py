@@ -188,20 +188,26 @@ class BlackboxComposite:
     reg: CompositeRegularizer
 
     def piece_values(self, x) -> np.ndarray:
-        """Values ``q_j(x)`` of the pieces at a float array ``x``."""
-        t = np.einsum("pij,pj->pi", self.mats, x - self.centers)
-        return 0.5 * np.add.reduce(t * t, axis=1) + self.offsets
+        """Values ``q_j(x)`` of the pieces: shape ``(pieces,)`` for one point
+        ``(d,)``, ``(n, pieces)`` for a stack of points ``(n, d)``."""
+        t = np.einsum("pij,...pj->...pi", self.mats, x[..., None, :] - self.centers)
+        return 0.5 * np.add.reduce(t * t, axis=-1) + self.offsets
 
-    def smooth(self, x) -> float:
+    def smooth(self, x):
         """Black-box part: max of the quadratic pieces, hinged at -kappa.
 
-        The one function the two-point estimator evaluates, ``b + 1`` times
-        per estimate, so it calls the ufuncs and methods directly
-        (``t * t``, ``np.add.reduce``, ``.max()``) rather than through the
-        ``**``, ``np.sum`` and ``np.max`` wrappers; the floating-point
-        operations, and so the value, are the same.
+        One point ``(d,)`` gives a float; a stack of points ``(n, d)`` gives
+        their ``n`` values as an array, each equal bit for bit to the value
+        of its row alone.  The two-point estimator evaluates its ``b + 1``
+        points as one stack, so a round pays one call instead of ``b + 1``.
+        The ufuncs and methods are called directly (``t * t``,
+        ``np.add.reduce``, ``.max``) rather than through the ``**``,
+        ``np.sum`` and ``np.max`` wrappers; the floating-point operations,
+        and so the values, are the same.
         """
-        return float(max(self.piece_values(np.asarray(x, dtype=float)).max(), -self.kappa))
+        x = np.asarray(x, dtype=float)
+        values = np.maximum(self.piece_values(x).max(axis=-1), -self.kappa)
+        return float(values) if x.ndim == 1 else values
 
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=float)

@@ -182,15 +182,20 @@ def _inputs(geo, sched, g, h_next):
     return g, _checked_hint(h_next, shape)
 
 
-def _round_params(geo, sched, sum_sq, diff):
-    """The new hint-error sum and this round's entropy parameters."""
-    norm = geo.norm(diff)
+def _add_square(sum_sq: float, norm: float, what: str) -> float:
+    """``sum_sq + norm**2``, or :class:`NumericRangeError` if not finite."""
     try:
         sum_sq = sum_sq + norm**2
     except OverflowError:  # a finite norm whose square leaves the float range
         sum_sq = math.inf
     if not math.isfinite(sum_sq):
-        raise NumericRangeError("gradient minus hint has a non-finite or overflowing norm")
+        raise NumericRangeError(f"{what} has a non-finite or overflowing norm")
+    return sum_sq
+
+
+def _round_params(geo, sched, sum_sq, diff):
+    """The new hint-error sum and this round's entropy parameters."""
+    sum_sq = _add_square(sum_sq, geo.norm(diff), "gradient minus hint")
     alpha = sched.eta * math.sqrt(sched.epsilon0 + sum_sq)
     return sum_sq, EntropyParams(alpha, sched.beta)
 

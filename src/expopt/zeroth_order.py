@@ -5,13 +5,15 @@ The estimator averages randomized forward differences
     (1/b) * sum_i (delta/mu) * (f(x + mu*v_i) - f(x)) * v_i
 
 over ``b`` directions, re-using a single evaluation of ``f(x)``: exactly
-``b + 1`` oracle calls per estimate, ``f(x)`` first and then the perturbed
-points in direction order.  The perturbed points are formed at once, as the
-rows of ``x + mu * V``, and the weighted directions are summed in that same
-order, so the estimate is bit for bit that of a loop over the directions.
-A non-finite oracle value raises
-:class:`~expopt.entropy.NumericRangeError` instead of becoming a NaN
-gradient.
+``b + 1`` evaluations per estimate.  The points form one stack,
+``[x; x + mu*v_1; ...; x + mu*v_b]``, with ``f(x)`` in row 0 and the
+perturbed points in direction order.  A rows oracle
+(:func:`two_point_grad_rows`) gets one call on the whole stack; a scalar
+oracle (:func:`two_point_grad`) gets ``b + 1`` calls, one per row in that
+order.  The weighted directions are summed in direction order, so the
+estimate is bit for bit that of a loop over the directions.  A non-finite
+oracle value raises :class:`~expopt.entropy.NumericRangeError` instead of
+becoming a NaN gradient.
 
 Two direction laws are supported, matching the recipes for the two learner
 families: unit-sphere directions with ``delta = d`` (diagonal-preconditioner
@@ -20,6 +22,7 @@ methods, whose analysis lives in the max-norm geometry).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,7 @@ __all__ = [
     "sphere_config",
     "rademacher_config",
     "two_point_grad",
+    "two_point_grad_rows",
 ]
 
 
@@ -45,8 +49,13 @@ class EstimatorConfig:
     direction_law: str = "rademacher"
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("smoothing mu must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError("smoothing mu must be finite and positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("scaling delta must be finite and positive")
+        if isinstance(self.batch, bool):  # operator.index would take it as 0 or 1
+            raise TypeError("batch must be an integer, got a bool")
+        object.__setattr__(self, "batch", operator.index(self.batch))
         if self.batch < 1:
             raise ValueError("batch must be at least 1")
         if self.direction_law not in ("rademacher", "sphere"):
@@ -75,22 +84,30 @@ def _directions(law: str, batch: int, dim: int, rng: np.random.Generator):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def two_point_grad(f, x, cfg: EstimatorConfig, rng: np.random.Generator) -> np.ndarray:
-    """Batch-averaged two-point gradient estimate of ``f`` at ``x``.
+def two_point_grad_rows(f_rows, x, cfg: EstimatorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Batch-averaged two-point gradient estimate from one oracle call.
 
-    Deterministic given the generator state.  Evaluates ``f`` exactly
-    ``cfg.batch + 1`` times: at ``x``, then at the rows of
-    ``x + mu * dirs`` in direction order.  The sum over directions runs
-    row by row from zero, so the estimate equals, bit for bit, that of a
-    loop adding ``(f(x + mu*v) - f(x)) * v`` one direction at a time.
+    Deterministic given the generator state.  Draws the directions, then
+    calls ``f_rows`` once on the stack ``(cfg.batch + 1, x.size)`` whose
+    row 0 is ``x`` and whose row ``i`` is ``x + mu * dirs[i - 1]``; it must
+    return the ``cfg.batch + 1`` values of the rows in order.  The sum over
+    directions runs row by row from zero, so the estimate equals, bit for
+    bit, that of a loop adding ``(f(x + mu*v) - f(x)) * v`` one direction
+    at a time.
 
-    Raises :class:`~expopt.entropy.NumericRangeError` when a value of ``f``
-    is not finite, or a difference of two values overflows.
+    Raises :class:`~expopt.entropy.NumericRangeError` when a value of the
+    oracle is not finite, or a difference of two values overflows, and
+    ``ValueError`` when the oracle returns other than one value per row.
     """
     x = np.asarray(x, dtype=float)
-    fx = float(f(x))
     dirs = _directions(cfg.direction_law, cfg.batch, x.size, rng)
-    diffs = np.array([float(f(point)) for point in x + cfg.mu * dirs]) - fx
+    points = np.empty((cfg.batch + 1, x.size))
+    points[0] = x
+    np.add(x, cfg.mu * dirs, out=points[1:])
+    values = np.asarray(f_rows(points), dtype=float)
+    if values.shape != (cfg.batch + 1,):
+        raise ValueError(f"oracle returned shape {values.shape} for {cfg.batch + 1} rows")
+    diffs = values[1:] - values[0]
     if not np.isfinite(diffs).all():
         raise NumericRangeError("two-point estimate got a non-finite oracle value")
     # a zero first row, then an accumulate down the rows: the sequential order
@@ -98,3 +115,14 @@ def two_point_grad(f, x, cfg: EstimatorConfig, rng: np.random.Generator) -> np.n
     terms = np.zeros((cfg.batch + 1, x.size))
     np.multiply(diffs[:, None], dirs, out=terms[1:])
     return (cfg.delta / (cfg.mu * cfg.batch)) * np.add.accumulate(terms, axis=0)[-1]
+
+
+def two_point_grad(f, x, cfg: EstimatorConfig, rng: np.random.Generator) -> np.ndarray:
+    """:func:`two_point_grad_rows` for a scalar oracle ``f`` of one point.
+
+    Calls ``f`` exactly ``cfg.batch + 1`` times, after the directions are
+    drawn: at ``x``, then at the rows of ``x + mu * dirs`` in direction
+    order.  The estimate is the same, bit for bit, as that of a rows oracle
+    whose values equal ``f``'s.
+    """
+    return two_point_grad_rows(lambda rows: [float(f(row)) for row in rows], x, cfg, rng)

@@ -46,6 +46,33 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["logistic", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides,argv,field",
+        [
+            ({"dim": 20.5}, [], "dim"),
+            ({"horizon": 5.0}, [], "horizon"),
+            ({"seed": 1.5}, [], "seed"),
+            ({"seed": -3}, [], "seed"),
+            ({}, ["--seed", "-3"], "seed"),
+            ({"trials": True}, [], "trials"),
+            ({"algorithms": "acc_exp_md"}, [], "algorithms"),
+        ],
+    )
+    def test_malformed_blackbox_config_is_config_error(
+        self, tmp_path, capsys, overrides, argv, field
+    ):
+        cfg = small_config(
+            tmp_path, kind="blackbox", dim=4, horizon=4, trials=1, sparsity=0.0,
+            algorithms=["acc_exp_md"],
+        )
+        data = json.loads(cfg.read_text()) | overrides
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "o.csv"
+        assert main(["blackbox", "--config", str(cfg), "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert not out.exists()
+
     def test_all_trials_failing_numerically(self, tmp_path, monkeypatch):
         import numpy as np
 

@@ -1,7 +1,10 @@
 """Streams, experiment runner, accounting, and output formats."""
 
+import importlib.util
 import json
+import lzma
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +257,25 @@ class TestOutputs:
                 algorithms=("a",), seed=1,
             )
 
+    def test_spec_integers(self):
+        spec = ExperimentSpec(
+            kind="logistic", dim=np.int64(5), horizon=np.int32(5), trials=1,
+            algorithms=["exp_md"], seed=np.uint64(3),
+        )
+        assert (spec.dim, spec.horizon, spec.seed) == (5, 5, 3)
+        assert all(type(v) is int for v in (spec.dim, spec.horizon, spec.seed))
+        assert spec.algorithms == ("exp_md",)
+        base = dict(kind="logistic", dim=5, horizon=5, trials=1, algorithms=("exp_md",), seed=1)
+        for field, bad in [("dim", 5.0), ("trials", True), ("seed", "1"), ("rank", 0.0)]:
+            with pytest.raises(TypeError, match=field):
+                ExperimentSpec(**{**base, field: bad})
+        for field, bad in [("seed", -1), ("tasks", 0), ("rank", -1)]:
+            with pytest.raises(ValueError, match=field):
+                ExperimentSpec(**{**base, field: bad})
+        for bad in ["exp_md", ("exp_md", 3), None]:
+            with pytest.raises(TypeError, match="algorithms"):
+                ExperimentSpec(**{**base, "algorithms": bad})
+
 
 class TestBlackbox:
     def test_runs_both_batch_settings(self):
@@ -280,41 +302,53 @@ class TestBlackbox:
         )
         assert problem.smooth(np.full(6, 100.0)) > 0  # quadratic growth far out
 
-    def test_smooth_matches_reference_formula(self):
+    @pytest.mark.parametrize("rows", [1, 2, 18])
+    @pytest.mark.parametrize("dim", [1, 6, 20])
+    def test_smooth_matches_reference_formula(self, dim, rows):
         from expopt.harness.streams import BlackboxComposite, gen_blackbox_problem
 
-        rng = np.random.default_rng(16)
-        for dim in (1, 6, 20):
-            problem = gen_blackbox_problem(dim, rng)
-            # offsets below -kappa make the hinge active near the centers
-            flat = BlackboxComposite(
-                problem.mats, problem.centers, np.full(3, -2.0), problem.kappa, problem.reg
-            )
-            hinged = 0
-            for oracle in (problem, flat):
-                for _ in range(500):
-                    x = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.integers(-3, 2)
-                    if rng.random() < 0.3:
-                        x = oracle.centers[rng.integers(3)] + 1e-3 * x
+        rng = np.random.default_rng(16 + 100 * dim + rows)
+        problem = gen_blackbox_problem(dim, rng)
+        # offsets below -kappa make the hinge active near the centers
+        flat = BlackboxComposite(
+            problem.mats, problem.centers, np.full(3, -2.0), problem.kappa, problem.reg
+        )
+        hinged = 0
+        for oracle in (problem, flat):
+            for _ in range(500 // rows):
+                xs = rng.uniform(-1.0, 1.0, (rows, dim)) * 10.0 ** rng.integers(-3, 2)
+                near = rng.random(rows) < 0.3
+                xs[near] = oracle.centers[rng.integers(3, size=near.sum())] + 1e-3 * xs[near]
+                stack = oracle.smooth(xs)
+                assert stack.shape == (rows,)
+                for x, value in zip(xs, stack):
                     t = np.einsum("pij,pj->pi", oracle.mats, x[None, :] - oracle.centers)
                     ref = float(
                         max(np.max(0.5 * np.sum(t**2, axis=1) + oracle.offsets), -oracle.kappa)
                     )
-                    assert oracle.smooth(x) == ref
+                    one = oracle.smooth(x)
+                    assert type(one) is float and one == ref
+                    # a row of the stack has the bits of the row alone
+                    assert value.tobytes() == np.float64(ref).tobytes()
                     hinged += ref == -oracle.kappa
-            assert hinged > 0
+        assert hinged > 0
 
     def test_nan_oracle_is_one_failure_per_variant(self, monkeypatch):
         from expopt.harness import streams
 
-        calls = [0]
+        points = [0]
         clean = streams.BlackboxComposite.smooth
 
         def smooth(self, x):
-            # finite for the first 5 rounds of the first variant (2 estimator
-            # calls and 1 objective call a round at batch 1), NaN afterwards
-            calls[0] += 1
-            return clean(self, x) if calls[0] <= 15 else float("nan")
+            # finite for the first 15 evaluated points, NaN for every later
+            # one: the first 5 rounds of the first variant (a 2-point
+            # estimator stack and 1 objective point a round at batch 1)
+            first, rows = points[0], len(x) if np.ndim(x) == 2 else 1
+            points[0] += rows
+            values = clean(self, x)
+            if np.ndim(x) == 2:
+                return np.where(np.arange(first, first + rows) < 15, values, np.nan)
+            return values if first < 15 else float("nan")
 
         monkeypatch.setattr(streams.BlackboxComposite, "smooth", smooth)
         algorithms = ("acc_exp_md", "acc_exp_ftrl", "acc_adagrad", "acc_adaftrl")
@@ -331,6 +365,55 @@ class TestBlackbox:
         assert set(rounds.values()) == {1}
         assert [r.round for r in records] == [1, 2, 3, 4, 5]
         assert all(r.algorithm == "acc_exp_md@b1" and math.isfinite(r.value) for r in records)
+
+    def test_nan_in_a_middle_row_of_a_stack_fails_that_variant_at_that_round(
+        self, monkeypatch
+    ):
+        from expopt.harness import streams
+
+        algorithms = ("acc_exp_md", "acc_exp_ftrl", "acc_adagrad")
+        spec = ExperimentSpec(
+            kind="blackbox", dim=6, horizon=9, trials=1, sparsity=0.0,
+            algorithms=algorithms, seed=14,
+        )
+        clean_records, _ = run_experiment(spec)
+        stacks = [0]
+        clean = streams.BlackboxComposite.smooth
+
+        def smooth(self, x):
+            values = clean(self, x)
+            if np.ndim(x) == 2 and len(x) == 4:  # a sqrt(T) stack: batch 3 at T = 9
+                stacks[0] += 1
+                if stacks[0] == 9 + 4:  # round 4 of the second sqrt(T) variant
+                    values[2] = np.nan
+            return values
+
+        monkeypatch.setattr(streams.BlackboxComposite, "smooth", smooth)
+        records, failures = run_experiment(spec)
+        assert [(f.algorithm, f.round) for f in failures] == [("acc_exp_ftrl@bsqrtT", 4)]
+        assert "non-finite oracle value" in failures[0].error
+        kept = [r for r in clean_records if r.algorithm != "acc_exp_ftrl@bsqrtT" or r.round < 4]
+        assert records == kept
+
+
+class TestBlackboxReferenceBytes:
+    """The in-process blackbox-accel CSVs equal the committed benchmark references."""
+
+    @pytest.mark.parametrize("seed", [7, 4099])
+    def test_csv_matches_reference_byte_for_byte(self, tmp_path, seed):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        loader = importlib.util.spec_from_file_location(
+            "perfbench_workloads", perfbench / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(workloads)
+        spec = ExperimentSpec.from_dict(workloads.make_spec("blackbox-accel", seed))
+        records, failures = run_experiment(spec)
+        out = tmp_path / "out.csv"
+        write_csv(records, out)
+        ref = perfbench / "refs" / f"blackbox-accel.seed{seed}.csv.xz"
+        assert failures == []
+        assert out.read_bytes() == lzma.decompress(ref.read_bytes())
 
 
 class TestLogisticOracle:

@@ -10,6 +10,7 @@ from expopt import (
     rademacher_config,
     sphere_config,
     two_point_grad,
+    two_point_grad_rows,
 )
 
 from expopt.harness.streams import BlackboxComposite, gen_blackbox_problem
@@ -46,6 +47,25 @@ class TestConfig:
             EstimatorConfig(delta=1.0, mu=0.1, batch=0)
         with pytest.raises(ValueError):
             EstimatorConfig(delta=1.0, mu=0.1, direction_law="cauchy")
+
+    @pytest.mark.parametrize("batch", [2.5, 1.0, True, "3"])
+    def test_batch_must_be_an_integer(self, batch):
+        with pytest.raises(TypeError):
+            EstimatorConfig(delta=1.0, mu=0.1, batch=batch)
+
+    def test_numpy_integer_batch_becomes_int(self):
+        cfg = EstimatorConfig(delta=1.0, mu=0.1, batch=np.int64(4))
+        assert cfg.batch == 4 and type(cfg.batch) is int
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -1.0])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            EstimatorConfig(delta=delta, mu=0.1)
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf])
+    def test_mu_must_be_finite(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            EstimatorConfig(delta=1.0, mu=mu)
 
     def test_default_smoothing(self):
         assert default_smoothing(100, 400) == pytest.approx(1.0 / 200.0)
@@ -141,10 +161,13 @@ class TestLoopReference:
                 x = rng.uniform(-1.0, 1.0, dim) * 10.0 ** rng.integers(-4, 1)
                 cfg = EstimatorConfig(delta, 10.0 ** rng.integers(-4, 0), batch, law)
                 seed = int(rng.integers(2**32))
-                out = two_point_grad(oracle, x, cfg, np.random.default_rng(seed))
                 ref = two_point_grad_reference(oracle, x, cfg, np.random.default_rng(seed))
-                assert np.array_equal(out, ref)
-                assert out.tobytes() == ref.tobytes()  # signed zeros too
+                # the scalar form, one call a point, and the rows form, one
+                # call on the stack of all b + 1 points
+                for estimate in (two_point_grad, two_point_grad_rows):
+                    out = estimate(oracle, x, cfg, np.random.default_rng(seed))
+                    assert np.array_equal(out, ref)
+                    assert out.tobytes() == ref.tobytes()  # signed zeros too
 
     def test_oracle_called_at_x_then_points_in_direction_order(self):
         calls = []
@@ -161,6 +184,42 @@ class TestLoopReference:
         assert np.array_equal(calls[0], x)
         for point, v in zip(calls[1:], dirs):
             assert np.array_equal(point, x + 0.1 * v)
+
+
+class TestRowsOracle:
+    def test_one_call_on_the_stack_of_x_then_points(self):
+        calls = []
+
+        def oracle(rows):
+            calls.append(np.array(rows, copy=True))
+            return np.sum(rows * rows, axis=1)
+
+        x = np.linspace(-1.0, 1.0, 5)
+        cfg = sphere_config(5, mu=0.1, batch=9)
+        two_point_grad_rows(oracle, x, cfg, np.random.default_rng(77))
+        dirs = _directions("sphere", 9, 5, np.random.default_rng(77))
+        assert len(calls) == 1
+        assert calls[0].shape == (10, 5)
+        assert np.array_equal(calls[0][0], x)
+        assert np.array_equal(calls[0][1:], x + 0.1 * dirs)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
+    def test_one_value_per_row_or_value_error(self, shape):
+        cfg = rademacher_config(mu=0.01, batch=4)
+        with pytest.raises(ValueError, match="shape"):
+            two_point_grad_rows(lambda rows: np.zeros(shape), np.zeros(3), cfg,
+                                np.random.default_rng(8))
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_non_finite_row_raises(self, row):
+        def oracle(rows):
+            values = np.sum(rows, axis=1)
+            values[row] = np.nan
+            return values
+
+        cfg = rademacher_config(mu=0.01, batch=4)
+        with pytest.raises(NumericRangeError):
+            two_point_grad_rows(oracle, np.zeros(3), cfg, np.random.default_rng(9))
 
 
 class TestNonFiniteOracle:
