@@ -31,10 +31,10 @@ class Accelerator:
     Parameters
     ----------
     learner : object
-        Inner optimistic learner (``ExpMd``, ``ExpFtrl``, their spectral
-        twins, or any object with the same ``x``/``step`` surface),
-        already configured with the feasibility mode matching the target
-        problem.
+        Inner optimistic learner (``ExpMd`` or ``ExpFtrl`` on a vector or
+        spectral schedule, or any object with the same ``x``/``step``
+        surface), already configured with the feasibility mode matching
+        the target problem.
     """
 
     def __init__(self, learner):

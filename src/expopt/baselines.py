@@ -165,9 +165,8 @@ def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
     ``target`` is the unconstrained minimizer; ball mode projects it in the
     weighted metric, elastic net has the coordinatewise soft threshold of
     ``target * h_sqrt``.  A non-finite target, or in elastic-net mode a
-    non-finite ``target * h_sqrt`` (an overflowed ``h_sqrt`` times a zero
-    target is NaN), raises :class:`NumericRangeError` (in ball mode through
-    the projection's own l1 sum).
+    non-finite ``target * h_sqrt``, raises :class:`NumericRangeError` (in
+    ball mode through the projection's own l1 sum).
     """
     if isinstance(mode, BallConstraint):
         return weighted_l1_ball_project(target, h_sqrt, mode.radius)
@@ -187,8 +186,12 @@ def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader:
     """One diagonal round; ``leader`` selects the accumulated-gradient target."""
     g = _checked(g, state.x.shape, "g")
     h_next = np.zeros_like(g) if h_next is None else _checked(h_next, g.shape, "h_next")
-    diff = g - state.h_prev
-    h_diag = state.h_diag + diff * diff
+    with np.errstate(over="ignore"):
+        diff = g - state.h_prev
+        h_diag = state.h_diag + diff * diff
+    # raised before any state change: an infinite h_diag pins every later step
+    if not h_diag.max() < math.inf:
+        raise NumericRangeError("diagonal step's squared gradient minus hint is not finite")
     h_sqrt = np.sqrt(h_diag)
     g_accum = state.g_accum + g
     reg_rounds = state.reg_rounds + reg_weight

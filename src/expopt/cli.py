@@ -82,8 +82,6 @@ def _load_spec(args) -> ExperimentSpec:
         data["seed"] = args.seed
     if args.trials is not None:
         data["trials"] = args.trials
-    if isinstance(data.get("algorithms"), list):
-        data["algorithms"] = tuple(data["algorithms"])
     return ExperimentSpec.from_dict(data)
 
 

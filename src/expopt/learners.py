@@ -14,10 +14,10 @@ directly, which equals ``ln(|y_i|/beta + 1)`` of the primal image, so huge
 dual coordinates are clamped by the constraint without overflowing.
 
 One mirror-descent body and one leader-following body serve vectors and
-matrices alike, over a :data:`Geometry` (:data:`VECTORS` here, the spectral
-one in :mod:`expopt.spectral`).  A non-finite hint, or a non-finite or
-overflowing gradient mismatch, raises :class:`NumericRangeError` at the
-step boundary, before any state changes.
+matrices alike: the schedule names its :data:`Geometry` (:data:`VECTORS`
+here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  A
+non-finite hint, or a non-finite or overflowing gradient mismatch, raises
+:class:`NumericRangeError` at the step boundary, before any state changes.
 """
 
 import math
@@ -50,6 +50,24 @@ __all__ = [
 ]
 
 
+# What vector and matrix learners differ in: the iterates' ``shape(sched)``;
+# the dual ``norm(d)`` of a gradient mismatch; ``factor(x, beta)``, the
+# scale-free mirror direction of a point, scaled into the dual space by
+# ``mirror(f, p)``; ``resolve(z, p, mode, reg_weight)``, the feasible point
+# of a dual point and its factor (``None``: rebuild it from the point).
+Geometry = namedtuple("Geometry", "shape norm factor mirror resolve")
+
+
+# R^d: max-abs dual norm and the coordinatewise mirror map.
+VECTORS = Geometry(
+    shape=lambda sched: (sched.dim,),
+    norm=lambda d: float(np.max(np.abs(d))),
+    factor=lambda x, beta: np.log1p(np.abs(x) / beta) * np.sign(x),
+    mirror=lambda f, p: p.alpha * f,
+    resolve=lambda z, p, mode, w: (resolve_dual_point(z, p, mode, w), None),
+)
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
     """Stepsize schedule for a d-dimensional learner on a radius-D domain.
@@ -64,6 +82,7 @@ class ScheduleParams:
     eta: float | None = None
     beta: float | None = None
     epsilon0: float = 1e-12
+    geometry = VECTORS  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
         if self.dim < 1:
@@ -141,24 +160,6 @@ def resolve_dual_point(z, p: EntropyParams, mode: FeasibleMode, reg_weight: floa
     raise TypeError(f"unsupported feasibility mode: {mode!r}")
 
 
-# What vector and matrix learners differ in: the iterates' ``shape(sched)``;
-# the dual ``norm(d)`` of a gradient mismatch; ``factor(x, beta)``, the
-# scale-free mirror direction of a point, scaled into the dual space by
-# ``mirror(f, p)``; ``resolve(z, p, mode, reg_weight)``, the feasible point
-# of a dual point and its factor (``None``: rebuild it from the point).
-Geometry = namedtuple("Geometry", "shape norm factor mirror resolve")
-
-
-# R^d: max-abs dual norm and the coordinatewise mirror map.
-VECTORS = Geometry(
-    shape=lambda sched: (sched.dim,),
-    norm=lambda d: float(np.max(np.abs(d))),
-    factor=lambda x, beta: np.log1p(np.abs(x) / beta) * np.sign(x),
-    mirror=lambda f, p: p.alpha * f,
-    resolve=lambda z, p, mode, w: (resolve_dual_point(z, p, mode, w), None),
-)
-
-
 def _checked(v, shape, name):
     v = np.asarray(v, dtype=float)
     if v.shape != shape:
@@ -200,58 +201,13 @@ def _round_params(geo, sched, sum_sq, diff):
     return sum_sq, EntropyParams(alpha, sched.beta)
 
 
-def _omd_init(geo, sched, x1):
+def omd_init(sched: ScheduleParams, x1=None) -> OmdState:
+    """Fresh state at a feasible anchor (default: the origin)."""
+    geo = sched.geometry
     shape = geo.shape(sched)
     x1 = np.zeros(shape) if x1 is None else _checked(x1, shape, "x1")
     factor = geo.factor(x1, sched.beta)
     return OmdState(x=x1.copy(), sum_sq=0.0, h_prev=np.zeros(shape), round=1, factor=factor)
-
-
-def _omd_step(geo, state, g, sched, mode, h_next, reg_weight):
-    g, h_next = _inputs(geo, sched, g, h_next)
-    diff = g - state.h_prev
-    sum_sq, p = _round_params(geo, sched, state.sum_sq, diff)
-    f = state.factor if state.factor is not None else geo.factor(state.x, sched.beta)
-    z = geo.mirror(f, p) - (diff + h_next)
-    x, factor = geo.resolve(z, p, mode, reg_weight)
-    return OmdState(x=x, sum_sq=sum_sq, h_prev=h_next, round=state.round + 1, factor=factor), x
-
-
-def _ftrl_init(geo, sched, x1):
-    shape = geo.shape(sched)
-    x1 = np.zeros(shape) if x1 is None else _checked(x1, shape, "x1")
-    return FtrlState(
-        g_accum=np.zeros(shape),
-        x1=x1.copy(),
-        anchor_dual=geo.factor(x1, sched.beta),
-        sum_sq=0.0,
-        h_prev=np.zeros(shape),
-        round=1,
-        reg_rounds=1.0,
-    )
-
-
-def _ftrl_step(geo, state, g, sched, mode, h_next, reg_weight):
-    g, h_next = _inputs(geo, sched, g, h_next)
-    sum_sq, p = _round_params(geo, sched, state.sum_sq, g - state.h_prev)
-    g_accum = state.g_accum + g
-    reg_rounds = state.reg_rounds + reg_weight
-    z = geo.mirror(state.anchor_dual, p) - g_accum - h_next
-    x, _ = geo.resolve(z, p, mode, reg_rounds)
-    return FtrlState(
-        g_accum=g_accum,
-        x1=state.x1,
-        anchor_dual=state.anchor_dual,
-        sum_sq=sum_sq,
-        h_prev=h_next,
-        round=state.round + 1,
-        reg_rounds=reg_rounds,
-    ), x
-
-
-def omd_init(sched: ScheduleParams, x1=None) -> OmdState:
-    """Fresh state at a feasible anchor (default: the origin)."""
-    return _omd_init(VECTORS, sched, x1)
 
 
 def omd_step(
@@ -268,11 +224,29 @@ def omd_step(
     scales the composite regularizer for this round (used by the
     stochastic-acceleration wrapper).
     """
-    return _omd_step(VECTORS, state, g, sched, mode, h_next, reg_weight)
+    geo = sched.geometry
+    g, h_next = _inputs(geo, sched, g, h_next)
+    diff = g - state.h_prev
+    sum_sq, p = _round_params(geo, sched, state.sum_sq, diff)
+    f = state.factor if state.factor is not None else geo.factor(state.x, sched.beta)
+    z = geo.mirror(f, p) - (diff + h_next)
+    x, factor = geo.resolve(z, p, mode, reg_weight)
+    return OmdState(x=x, sum_sq=sum_sq, h_prev=h_next, round=state.round + 1, factor=factor), x
 
 
 def ftrl_init(sched: ScheduleParams, x1=None) -> FtrlState:
-    return _ftrl_init(VECTORS, sched, x1)
+    geo = sched.geometry
+    shape = geo.shape(sched)
+    x1 = np.zeros(shape) if x1 is None else _checked(x1, shape, "x1")
+    return FtrlState(
+        g_accum=np.zeros(shape),
+        x1=x1.copy(),
+        anchor_dual=geo.factor(x1, sched.beta),
+        sum_sq=0.0,
+        h_prev=np.zeros(shape),
+        round=1,
+        reg_rounds=1.0,
+    )
 
 
 def ftrl_step(
@@ -288,7 +262,22 @@ def ftrl_step(
     In regularized mode the prox uses the accumulated weight
     ``r_{1:t+1}``, i.e. ``(t + 1)`` under unit weights.
     """
-    return _ftrl_step(VECTORS, state, g, sched, mode, h_next, reg_weight)
+    geo = sched.geometry
+    g, h_next = _inputs(geo, sched, g, h_next)
+    sum_sq, p = _round_params(geo, sched, state.sum_sq, g - state.h_prev)
+    g_accum = state.g_accum + g
+    reg_rounds = state.reg_rounds + reg_weight
+    z = geo.mirror(state.anchor_dual, p) - g_accum - h_next
+    x, _ = geo.resolve(z, p, mode, reg_rounds)
+    return FtrlState(
+        g_accum=g_accum,
+        x1=state.x1,
+        anchor_dual=state.anchor_dual,
+        sum_sq=sum_sq,
+        h_prev=h_next,
+        round=state.round + 1,
+        reg_rounds=reg_rounds,
+    ), x
 
 
 def regret(losses_player, losses_comparator):
@@ -321,7 +310,7 @@ class Learner:
 
 
 class ExpMd(Learner):
-    """Stateful mirror-descent learner over :func:`omd_step`."""
+    """Stateful mirror-descent learner over :func:`omd_step`, on either schedule."""
 
     def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
         state = omd_init(sched, x1)
@@ -329,7 +318,7 @@ class ExpMd(Learner):
 
 
 class ExpFtrl(Learner):
-    """Stateful leader-following learner over :func:`ftrl_step`."""
+    """Stateful leader-following learner over :func:`ftrl_step`, on either schedule."""
 
     def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
         state = ftrl_init(sched, x1)

@@ -7,11 +7,11 @@ vector operation to the spectrum, and recomposes:
 
 * :func:`spectral_prox` -- nuclear + Frobenius composite prox,
 * :func:`nuclear_ball_project` -- Bregman projection onto the nuclear ball,
-* :func:`spectral_omd_step` / :func:`spectral_ftrl_step` -- full learners,
-  with the hint mismatch measured in the spectral norm.
+* :data:`MATRICES` -- the geometry a :class:`SpectralSchedule` names, under
+  which the learners of :mod:`expopt.learners` run on matrices.
 
-The learners are those of :mod:`expopt.learners` in the geometry
-:data:`MATRICES`; mirror-descent states carry the factors of the current
+``spectral_omd_*``/``spectral_ftrl_*`` are those learners' entry points under
+their spectral names; mirror-descent states carry the factors of the current
 iterate, so each step costs a single decomposition of the dual matrix.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import learners
 from .entropy import EntropyParams, NumericRangeError, entropy, mirror_map
-from .learners import FtrlState, Geometry, Learner, OmdState
+from .learners import Geometry, Learner
 from .prox import (
     BallConstraint,
     CompositeRegularizer,
@@ -90,6 +90,39 @@ def spectral_norm(x) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _matrix_norm(d):
+    try:
+        return spectral_norm(d)
+    except np.linalg.LinAlgError:
+        # a NaN entry makes the SVD fail to converge: report a non-finite
+        # norm, which the step rejects
+        return math.nan
+
+
+def _matrix_factor(x, beta):
+    f = svd(x)
+    return SvdFactors(f.u, np.log1p(f.s / beta), f.vt)
+
+
+def _resolve_matrix(z, p, mode, reg_weight):
+    f = svd(z)
+    spectrum = learners.resolve_dual_point(f.s, p, mode, reg_weight)
+    return (f.u * spectrum) @ f.vt, SvdFactors(f.u, np.log1p(spectrum / p.beta), f.vt)
+
+
+# m-by-n matrices: the vector mirror map applied to the singular values (a
+# factor is an SvdFactors holding their directions).  The hint mismatch enters
+# ``sum_sq`` through its largest singular value, the spectral dual norm; the
+# dual matrix is factored once and its spectrum resolved as in the vector learner.
+MATRICES = Geometry(
+    shape=lambda sched: (sched.m, sched.n),
+    norm=_matrix_norm,
+    factor=_matrix_factor,
+    mirror=lambda f, p: (f.u * (p.alpha * f.s)) @ f.vt,
+    resolve=_resolve_matrix,
+)
+
+
 @dataclass(frozen=True)
 class SpectralSchedule:
     """Stepsize schedule for m-by-n matrix learners on a nuclear ball.
@@ -104,6 +137,7 @@ class SpectralSchedule:
     eta: float | None = None
     beta: float | None = None
     epsilon0: float = 1e-12
+    geometry = MATRICES  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -162,71 +196,10 @@ def nuclear_ball_project(y, ball: BallConstraint, p: EntropyParams) -> np.ndarra
 nuclear_project_or_pass = nuclear_ball_project
 
 
-def _matrix_norm(d):
-    try:
-        return spectral_norm(d)
-    except np.linalg.LinAlgError:
-        # a NaN entry makes the SVD fail to converge: report a non-finite
-        # norm, which the step rejects
-        return math.nan
-
-
-def _matrix_factor(x, beta):
-    f = svd(x)
-    return SvdFactors(f.u, np.log1p(f.s / beta), f.vt)
-
-
-def _resolve_matrix(z, p, mode, reg_weight):
-    f = svd(z)
-    spectrum = learners.resolve_dual_point(f.s, p, mode, reg_weight)
-    return (f.u * spectrum) @ f.vt, SvdFactors(f.u, np.log1p(spectrum / p.beta), f.vt)
-
-
-# m-by-n matrices: spectral dual norm, and the vector mirror map applied to
-# the singular values (a factor is an SvdFactors holding their directions).
-MATRICES = Geometry(
-    shape=lambda sched: (sched.m, sched.n),
-    norm=_matrix_norm,
-    factor=_matrix_factor,
-    mirror=lambda f, p: (f.u * (p.alpha * f.s)) @ f.vt,
-    resolve=_resolve_matrix,
-)
-
-
-def spectral_omd_init(sched: SpectralSchedule, x1=None) -> OmdState:
-    return learners._omd_init(MATRICES, sched, x1)
-
-
-def spectral_omd_step(
-    state: OmdState,
-    g,
-    sched: SpectralSchedule,
-    mode: FeasibleMode = None,
-    h_next=None,
-    reg_weight: float = 1.0,
-):
-    """One spectral mirror-descent round.
-
-    The hint mismatch enters ``sum_sq`` through its largest singular value;
-    the dual matrix is factored once and the spectrum resolved exactly as in
-    the vector learner.
-    """
-    return learners._omd_step(MATRICES, state, g, sched, mode, h_next, reg_weight)
-
-
-def spectral_ftrl_init(sched: SpectralSchedule, x1=None) -> FtrlState:
-    return learners._ftrl_init(MATRICES, sched, x1)
-
-
-def spectral_ftrl_step(
-    state: FtrlState,
-    g,
-    sched: SpectralSchedule,
-    mode: FeasibleMode = None,
-    h_next=None,
-    reg_weight: float = 1.0,
-):
-    return learners._ftrl_step(MATRICES, state, g, sched, mode, h_next, reg_weight)
+spectral_omd_init = learners.omd_init
+spectral_omd_step = learners.omd_step
+spectral_ftrl_init = learners.ftrl_init
+spectral_ftrl_step = learners.ftrl_step
 
 
 class SpectralExpMd(Learner):

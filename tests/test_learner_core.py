@@ -281,18 +281,20 @@ class TestMatrixParity:
     def test_omd(self, shape, mode_name, rank_deficient):
         sched = SpectralSchedule(*shape, radius=2.0)
         mode = modes(2.0)[mode_name]
-        zero_spectra = 0
-        for new, ref, xn, xr in run_pair(
-            spectral_omd_init, spectral_omd_step, ref_spectral_omd_init, ref_spectral_omd_step,
-            sched, mode, shape, seed=sum(shape), rd=rank_deficient,
-        ):
-            assert same_bytes(xn, xr)
-            assert same_bytes(new.x, ref.x)
-            assert_direction_of(new.factor, ref.factors, sched.beta)
-            assert_common_fields(new, ref)
-            zero_spectra += int(np.any(ref.factors.s == 0.0))
-        if rank_deficient and min(shape) > 1:
-            assert zero_spectra == ROUNDS
+        # the spectral names, and the shared entry points on a spectral schedule
+        for init, step in ((spectral_omd_init, spectral_omd_step), (omd_init, omd_step)):
+            zero_spectra = 0
+            for new, ref, xn, xr in run_pair(
+                init, step, ref_spectral_omd_init, ref_spectral_omd_step,
+                sched, mode, shape, seed=sum(shape), rd=rank_deficient,
+            ):
+                assert same_bytes(xn, xr)
+                assert same_bytes(new.x, ref.x)
+                assert_direction_of(new.factor, ref.factors, sched.beta)
+                assert_common_fields(new, ref)
+                zero_spectra += int(np.any(ref.factors.s == 0.0))
+            if rank_deficient and min(shape) > 1:
+                assert zero_spectra == ROUNDS
 
     @pytest.mark.parametrize("shape", MATRIX_SHAPES)
     @pytest.mark.parametrize("mode_name", ["free", "ball", "enet"])
@@ -300,17 +302,18 @@ class TestMatrixParity:
     def test_ftrl(self, shape, mode_name, rank_deficient):
         sched = SpectralSchedule(*shape, radius=2.0)
         mode = modes(2.0)[mode_name]
-        for new, ref, xn, xr in run_pair(
-            spectral_ftrl_init, spectral_ftrl_step, ref_spectral_ftrl_init,
-            ref_spectral_ftrl_step, sched, mode, shape, seed=50 + sum(shape),
-            rd=rank_deficient,
-        ):
-            assert same_bytes(xn, xr)
-            assert same_bytes(new.g_accum, ref.g_accum)
-            assert same_bytes(new.x1, ref.x1)
-            assert_direction_of(new.anchor_dual, ref.anchor_factors, sched.beta)
-            assert repr(new.reg_rounds) == repr(ref.reg_rounds)
-            assert_common_fields(new, ref)
+        for init, step in ((spectral_ftrl_init, spectral_ftrl_step), (ftrl_init, ftrl_step)):
+            for new, ref, xn, xr in run_pair(
+                init, step, ref_spectral_ftrl_init,
+                ref_spectral_ftrl_step, sched, mode, shape, seed=50 + sum(shape),
+                rd=rank_deficient,
+            ):
+                assert same_bytes(xn, xr)
+                assert same_bytes(new.g_accum, ref.g_accum)
+                assert same_bytes(new.x1, ref.x1)
+                assert_direction_of(new.anchor_dual, ref.anchor_factors, sched.beta)
+                assert repr(new.reg_rounds) == repr(ref.reg_rounds)
+                assert_common_fields(new, ref)
 
 
 class TestFactorRebuild:

@@ -186,6 +186,24 @@ class TestSpectralLearners:
                 xm = lm.step(np.diag(g))
                 assert np.allclose(np.diag(xv), xm, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "mode", [None, BallConstraint(1.0), CompositeRegularizer(l1=0.05, l2=0.2)]
+    )
+    def test_vector_classes_take_a_spectral_schedule(self, mode):
+        rng = np.random.default_rng(41)
+        sched = SpectralSchedule(4, 3, radius=1.0)
+        for vec_cls, mat_cls in ((ExpMd, SpectralExpMd), (ExpFtrl, SpectralExpFtrl)):
+            lv, lm = vec_cls(sched, mode=mode), mat_cls(sched, mode=mode)
+            assert lv.x.tobytes() == lm.x.tobytes()
+            for _ in range(50):
+                g, h = 0.3 * rng.standard_normal((2, 4, 3))
+                w = rng.uniform(0.5, 2.0)
+                xv = lv.step(g, h_next=h, reg_weight=w)
+                xm = lm.step(g, h_next=h, reg_weight=w)
+                assert xv.shape == (4, 3)
+                assert xv.tobytes() == xm.tobytes()
+            assert repr(lv.state.sum_sq) == repr(lm.state.sum_sq)
+
     def test_perfect_hint_fixed_point(self):
         rng = np.random.default_rng(39)
         sched = SpectralSchedule(3, 3, radius=1.0)

@@ -18,7 +18,7 @@ from expopt import (
     SpectralExpMd,
     SpectralSchedule,
 )
-from expopt.harness import ExperimentSpec, run_experiment, streams
+from expopt.harness import ExperimentSpec, registry, run_experiment, streams
 
 # |g| = 1e200 is finite, but its square is not
 BAD_VALUES = [np.nan, np.inf, -np.inf, 1e200]
@@ -234,3 +234,38 @@ def test_elastic_net_prox_from_log_rejects_a_non_finite_active_entry(l2, bad):
     log_scale = np.array([0.0, 2.0, bad])
     with pytest.raises(NumericRangeError):
         elastic_net_prox_from_log(log_scale, np.ones(3), CompositeRegularizer(0.1, l2), p)
+
+
+# gradient entries whose last round leaves the float range in h_diag: the
+# square itself, or the sum of two finite squares
+OVERFLOWS = {"square": [1e308], "sum": [1e154, 1e154]}
+DIAGONAL = [f"{cls}-{mode}" for cls in ("AdaGrad", "AdaFtrl") for mode in MODES] + [
+    "matrix-adagrad",
+    "matrix-adaftrl",
+]
+
+
+def diagonal_learner(name):
+    kind, arg = name.split("-")
+    if kind == "matrix":
+        return registry.build_matrix_learner(arg, 3, 2, 2.0)
+    return {"AdaGrad": AdaGrad, "AdaFtrl": AdaFtrl}[kind](4, mode=MODES[arg])
+
+
+@pytest.mark.parametrize("overflow", list(OVERFLOWS))
+@pytest.mark.parametrize("name", DIAGONAL)
+def test_diagonal_learners_raise_when_h_diag_overflows(name, overflow):
+    learner, fresh = diagonal_learner(name), diagonal_learner(name)
+    *finite, last = OVERFLOWS[overflow]
+    for value in finite:
+        learner.step(np.full_like(learner.x, value))
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(NumericRangeError):
+        learner.step(np.full_like(learner.x, last))
+    assert learner.state is state
+    assert learner.x.tobytes() == x.tobytes()
+    if not finite:
+        # the rejected round left no trace: the learner continues as a fresh one
+        g = np.resize([1.0, -1.0, 0.5], learner.x.shape)
+        assert learner.step(g).tobytes() == fresh.step(g).tobytes()
+        assert learner.state.h_diag.tobytes() == fresh.state.h_diag.tobytes()
