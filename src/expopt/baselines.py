@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import NumericRangeError
-from .learners import Learner, _add_square, _checked, _checked_hint
+from .learners import Learner, _add_square, _checked, _inputs
 from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
 from .spectral import _project_spectrum
 
@@ -184,8 +184,7 @@ def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
 
 def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader: bool):
     """One diagonal round; ``leader`` selects the accumulated-gradient target."""
-    g = _checked(g, state.x.shape, "g")
-    h_next = np.zeros_like(g) if h_next is None else _checked(h_next, g.shape, "h_next")
+    g, h_next = _inputs(state.x.shape, g, h_next)
     with np.errstate(over="ignore"):
         diff = g - state.h_prev
         h_diag = state.h_diag + diff * diff
@@ -261,11 +260,12 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     including the current round.  Returns the new state and the signed
     difference of the two weight halves (l1 norm at most ``radius``).
 
-    Raises :class:`NumericRangeError` when ``g`` is not finite or the sum
-    of squared max-norms overflows.
+    A ``g`` of a shape other than ``(d,)`` raises ``ValueError``; one that
+    is not finite, or a sum of squared max-norms that overflows,
+    :class:`NumericRangeError`.
     """
-    g = np.asarray(g, dtype=float)
-    d = g.size
+    d = state.log_weights.size // 2
+    g, _ = _inputs((d,), g, None)
     gmax = float(np.max(np.abs(g))) if d else 0.0
     sum_sq = _add_square(state.sum_sq, gmax, "eg_pm step's gradient")
     if stepsize is None:
@@ -312,16 +312,12 @@ class EgPm(Learner):
     """Stateful signed multiplicative-weights baseline on a radius-D ball.
 
     Hints and regularizer weights are accepted and ignored, but a given hint
-    is checked as every learner checks it: a shape other than ``(dim,)``
-    raises ``ValueError`` and a non-finite entry :class:`NumericRangeError`,
-    before the state changes.
+    is checked as every learner checks it (:func:`~expopt.learners._inputs`).
     """
 
     def __init__(self, dim: int, radius: float, stepsize: float | None = None):
         def advance(state, g, h_next, reg_weight):
-            if h_next is not None:
-                _checked_hint(h_next, (dim,))
-            return eg_pm_step(state, g, radius, stepsize)
+            return eg_pm_step(state, _inputs((dim,), g, h_next)[0], radius, stepsize)
 
         # equal weights on both halves: the decision starts at the origin
         super().__init__(eg_pm_init(dim), np.zeros(dim), advance)

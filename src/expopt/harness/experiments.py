@@ -5,9 +5,10 @@ data once, and runs every requested algorithm over the identical arrays;
 records therefore only depend on the spec.  Rows are emitted sorted by
 (algorithm, trial, round) and floats are written with their shortest
 round-trip representation, so equal configurations produce byte-identical
-CSV files.  A numeric error, or a non-finite loss, regret or objective,
-ends that algorithm's trial with a :class:`TrialFailure` at the round,
-which writes no row.
+CSV files.  Each run yields its per-round values to one loop that records
+them; a numeric error, or a non-finite loss, regret or objective, ends
+that algorithm's trial with a :class:`TrialFailure` at the round, which
+writes no row.
 """
 
 import json
@@ -94,6 +95,8 @@ class ExperimentSpec:
             raise TypeError(f"algorithms must be a list of names, got {self.algorithms!r}")
         if not self.algorithms:
             raise ValueError("algorithms list must not be empty")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms must not repeat, got {self.algorithms!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
     @classmethod
@@ -132,81 +135,78 @@ class TrialFailure:
     error: str
 
 
-def _run_online_algorithm(name, spec, stream, comp_losses, radius, trial):
-    """Shared loop for the regret experiments; returns (records, failure)."""
-    if spec.kind == "logistic":
-        learner = registry.build_vector_learner(name, spec.dim, radius)
-        oracle = streams.logistic_loss_grad
-    else:
-        learner = registry.build_matrix_learner(name, spec.dim, spec.tasks, radius)
-        oracle = streams.multitask_loss_grad
-
-    records = []
+def _regrets(learner, oracle, stream, comp_losses, horizon):
+    """Cumulative regret after each round, checked before the learner steps."""
     cum = 0.0
-    for t in range(spec.horizon):
-        x = learner.x
-        try:
-            loss, grad = oracle(x, stream.features[t], stream.labels[t])
-            cum += loss - comp_losses[t]
-            if not math.isfinite(cum):
-                raise NumericRangeError(f"cumulative regret is not finite ({cum})")
-            learner.step(grad)
-        except _NUMERIC_ERRORS as exc:
-            return records, TrialFailure(name, trial, t + 1, str(exc))
-        records.append(RegretRecord(spec.kind, name, trial, t + 1, float(cum)))
-    return records, None
+    for t in range(horizon):
+        loss, grad = oracle(learner.x, stream.features[t], stream.labels[t])
+        cum += loss - comp_losses[t]
+        if not math.isfinite(cum):
+            raise NumericRangeError(f"cumulative regret is not finite ({cum})")
+        learner.step(grad)
+        yield cum
 
 
-def _run_blackbox_algorithm(label, name, batch, spec, problem, seed_seq, trial):
+def _objectives(name, batch, spec, problem, seed_seq):
+    """Objective value at the accelerated learner's averaged point, each round."""
     rng = np.random.default_rng(seed_seq)
     mu = default_smoothing(spec.dim, max(spec.horizon, 1))
     learner, recipe = registry.accelerated_family(name, spec.dim, problem.reg)
     cfg = recipe(mu, batch)
     acc = Accelerator(learner)
+    for _ in range(spec.horizon):
+        z = acc.step(lambda v: two_point_grad_rows(problem.smooth, v, cfg, rng))
+        value = problem.objective(z)
+        if not math.isfinite(value):
+            raise NumericRangeError(f"objective value is not finite ({value})")
+        yield value
+
+
+def _collect(kind, label, trial, values):
+    """One run's ``(label, trial, records, failure)``: its rows, or where it broke."""
     records = []
-    for t in range(spec.horizon):
-        try:
-            z = acc.step(lambda v: two_point_grad_rows(problem.smooth, v, cfg, rng))
-            value = problem.objective(z)
-            if not math.isfinite(value):
-                raise NumericRangeError(f"objective value is not finite ({value})")
-        except _NUMERIC_ERRORS as exc:
-            return records, TrialFailure(label, trial, t + 1, str(exc))
-        records.append(RegretRecord(spec.kind, label, trial, t + 1, float(value)))
-    return records, None
+    try:
+        for value in values:
+            records.append(RegretRecord(kind, label, trial, len(records) + 1, float(value)))
+    except _NUMERIC_ERRORS as exc:
+        return label, trial, records, TrialFailure(label, trial, len(records) + 1, str(exc))
+    return label, trial, records, None
 
 
-def _run_trial(spec: ExperimentSpec, trial: int, seed_seq) -> tuple[list, list]:
+def _run_trial(spec: ExperimentSpec, trial: int, seed_seq) -> list:
+    """The trial's blocks; its algorithms are built and run one at a time, in spec order."""
     rng = np.random.default_rng(seed_seq)
-    if spec.kind == "logistic":
-        stream = streams.gen_logistic_stream(spec.dim, spec.horizon, spec.sparsity, rng)
-        radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(np.abs(stream.w_star)))
-        margins = stream.labels * (stream.features @ stream.w_star)
-        comp_losses = np.logaddexp(0.0, -margins)
-    elif spec.kind == "multitask":
-        stream = streams.gen_multitask_stream(
-            spec.dim, spec.tasks, spec.rank, spec.horizon, rng
-        )
-        radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(stream.singular_values))
-        margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
-        comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
     if spec.kind == "blackbox":
         problem = streams.gen_blackbox_problem(spec.dim, rng)
         sqrt_batch = max(int(math.isqrt(max(spec.horizon, 1))), 1)
         variants = [(f"{name}@b1", name, 1) for name in spec.algorithms]
         variants += [(f"{name}@bsqrtT", name, sqrt_batch) for name in spec.algorithms]
         children = seed_seq.spawn(len(variants))
-        results = [
-            _run_blackbox_algorithm(label, name, batch, spec, problem, child, trial)
+        runs = (
+            (label, _objectives(name, batch, spec, problem, child))
             for (label, name, batch), child in zip(variants, children)
-        ]
+        )
     else:
+        if spec.kind == "logistic":
+            shape = (spec.dim,)
+            stream = streams.gen_logistic_stream(spec.dim, spec.horizon, spec.sparsity, rng)
+            radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(np.abs(stream.w_star)))
+            margins = stream.labels * (stream.features @ stream.w_star)
+            comp_losses = np.logaddexp(0.0, -margins)
+            build, oracle = registry.build_vector_learner, streams.logistic_loss_grad
+        else:
+            shape = (spec.dim, spec.tasks)
+            stream = streams.gen_multitask_stream(*shape, spec.rank, spec.horizon, rng)
+            radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(stream.singular_values))
+            margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
+            comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
+            build, oracle = registry.build_matrix_learner, streams.multitask_loss_grad
         radius = radius if radius > 0 else 1.0  # degenerate all-zero truth
-        results = [
-            _run_online_algorithm(name, spec, stream, comp_losses, radius, trial)
+        runs = (
+            (name, _regrets(build(name, *shape, radius), oracle, stream, comp_losses, spec.horizon))
             for name in spec.algorithms
-        ]
-    return [r for recs, _ in results for r in recs], [f for _, f in results if f]
+        )
+    return [_collect(spec.kind, label, trial, values) for label, values in runs]
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
@@ -220,12 +220,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
         if name not in KINDS[spec.kind]:
             raise KeyError(f"unknown {spec.kind} algorithm {name!r}")
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
-    results = [_run_trial(spec, i, seeds[i]) for i in range(spec.trials)]
-    records = [r for recs, _ in results for r in recs]
-    failures = [f for _, fails in results for f in fails]
-    records.sort(key=lambda r: (r.algorithm, r.trial, r.round))
-    failures.sort(key=lambda f: (f.algorithm, f.trial))
-    return records, failures
+    blocks = [block for i in range(spec.trials) for block in _run_trial(spec, i, seeds[i])]
+    # each block's rows run in round order, so sorting the blocks sorts the rows
+    blocks.sort(key=lambda block: block[:2])
+    records = [r for _, _, recs, _ in blocks for r in recs]
+    return records, [failure for *_, failure in blocks if failure]
 
 
 def write_csv(records, path) -> None:

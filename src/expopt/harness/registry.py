@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import baselines
 from ..baselines import AdaFtrl, AdaGrad, EgPm, diag_init, euclidean_nuclear_ball_project
-from ..learners import ExpFtrl, ExpMd, Learner, ScheduleParams, _checked
+from ..learners import ExpFtrl, ExpMd, Learner, ScheduleParams, _inputs
 from ..prox import BallConstraint, CompositeRegularizer
 from ..spectral import SpectralExpFtrl, SpectralExpMd, SpectralSchedule
 from ..zeroth_order import rademacher_config, sphere_config
@@ -58,9 +58,8 @@ def _diag_nuclear(name: str, m: int, n: int, radius: float) -> Learner:
     def advance(state, g, h_next, reg_weight):
         # looked up on every step, as AdaGrad and AdaFtrl look up theirs
         step = baselines.adagrad_step if name == "adagrad" else baselines.adaftrl_step
-        g = _checked(g, (m, n), "g")
-        h_flat = None if h_next is None else _checked(h_next, (m, n), "h_next").ravel()
-        st, target = step(state, g.ravel(), None, h_flat, reg_weight)
+        g, h_next = _inputs((m, n), g, h_next)
+        st, target = step(state, g.ravel(), None, h_next.ravel(), reg_weight)
         x = euclidean_nuclear_ball_project(target.reshape(m, n), radius)
         st = baselines.DiagProxState(
             st.h_diag, st.g_accum, x.ravel(), st.h_prev, st.round, st.reg_rounds

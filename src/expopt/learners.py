@@ -15,9 +15,11 @@ dual coordinates are clamped by the constraint without overflowing.
 
 One mirror-descent body and one leader-following body serve vectors and
 matrices alike: the schedule names its :data:`Geometry` (:data:`VECTORS`
-here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  A
-non-finite hint, or a non-finite or overflowing gradient mismatch, raises
-:class:`NumericRangeError` at the step boundary, before any state changes.
+here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  Every
+learner's step, these and the baselines', checks its inputs in one place,
+:func:`_inputs`.  A non-finite hint, or a non-finite or overflowing gradient
+mismatch, raises :class:`NumericRangeError` at the step boundary, before
+any state changes.
 """
 
 import math
@@ -167,20 +169,20 @@ def _checked(v, shape, name):
     return v
 
 
-def _checked_hint(h_next, shape):
-    """A given hint of the right shape; raises NumericRangeError if not finite."""
-    h_next = _checked(h_next, shape, "h_next")
-    if not np.isfinite(h_next).all():
-        raise NumericRangeError("hint h_next is not finite")
-    return h_next
+def _inputs(shape, g, h_next):
+    """A step's gradient and hint (zeros when none) as float arrays of ``shape``.
 
-
-def _inputs(geo, sched, g, h_next):
-    shape = geo.shape(sched)
+    The one check of every learner's step inputs, made before any state
+    changes: a wrong shape raises ``ValueError``, a non-finite hint
+    :class:`NumericRangeError`.
+    """
     g = _checked(g, shape, "g")
     if h_next is None:
         return g, np.zeros(shape)
-    return g, _checked_hint(h_next, shape)
+    h_next = _checked(h_next, shape, "h_next")
+    if not np.isfinite(h_next).all():
+        raise NumericRangeError("hint h_next is not finite")
+    return g, h_next
 
 
 def _add_square(sum_sq: float, norm: float, what: str) -> float:
@@ -225,7 +227,7 @@ def omd_step(
     stochastic-acceleration wrapper).
     """
     geo = sched.geometry
-    g, h_next = _inputs(geo, sched, g, h_next)
+    g, h_next = _inputs(geo.shape(sched), g, h_next)
     diff = g - state.h_prev
     sum_sq, p = _round_params(geo, sched, state.sum_sq, diff)
     f = state.factor if state.factor is not None else geo.factor(state.x, sched.beta)
@@ -263,7 +265,7 @@ def ftrl_step(
     ``r_{1:t+1}``, i.e. ``(t + 1)`` under unit weights.
     """
     geo = sched.geometry
-    g, h_next = _inputs(geo, sched, g, h_next)
+    g, h_next = _inputs(geo.shape(sched), g, h_next)
     sum_sq, p = _round_params(geo, sched, state.sum_sq, g - state.h_prev)
     g_accum = state.g_accum + g
     reg_rounds = state.reg_rounds + reg_weight

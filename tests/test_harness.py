@@ -473,3 +473,10 @@ class TestAlgorithmNamesCheckedFirst:
         with pytest.raises(KeyError, match="nope"):
             run_experiment(spec)
         assert builds == []
+
+
+def test_a_repeated_algorithm_is_a_config_error():
+    with pytest.raises(ValueError, match="repeat"):
+        ExperimentSpec(
+            kind="logistic", dim=5, horizon=5, trials=1, algorithms=("exp_md", "exp_md"), seed=1
+        )

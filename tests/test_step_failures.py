@@ -269,3 +269,34 @@ def test_diagonal_learners_raise_when_h_diag_overflows(name, overflow):
         g = np.resize([1.0, -1.0, 0.5], learner.x.shape)
         assert learner.step(g).tobytes() == fresh.step(g).tobytes()
         assert learner.state.h_diag.tobytes() == fresh.state.h_diag.tobytes()
+
+
+@pytest.mark.parametrize("g", [np.ones(1), np.ones(4), np.ones((3, 1))])
+def test_eg_pm_rejects_a_misshapen_gradient(g):
+    from expopt import EgPm, eg_pm_init, eg_pm_step
+
+    learner = EgPm(3, 1.0)
+    learner.step(0.1 * np.ones(3))
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(ValueError, match="g has shape"):
+        learner.step(g)
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
+    fresh = eg_pm_init(3)
+    with pytest.raises(ValueError, match="g has shape"):
+        eg_pm_step(fresh, g, 1.0)
+    assert np.array_equal(fresh.log_weights, np.zeros(6))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", DIAGONAL)
+def test_diagonal_learners_reject_a_non_finite_hint(name, bad):
+    learner = diagonal_learner(name)
+    learner.step(0.1 * np.ones_like(learner.x))
+    state, x = learner.state, learner.x.copy()
+    h = np.zeros_like(learner.x)
+    h.flat[1] = bad
+    with pytest.raises(NumericRangeError, match="hint"):
+        learner.step(0.5 * np.ones_like(learner.x), h_next=h)
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
