@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import NumericRangeError
-from .learners import Learner, _add_square, _checked, _inputs
+from .learners import Learner, _add_square, _anchor, _inputs
 from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
 from .spectral import _project_spectrum
 
@@ -60,11 +60,12 @@ class DiagProxState:
 
 
 def diag_init(dim: int, x1=None) -> DiagProxState:
-    x1 = np.zeros(dim) if x1 is None else _checked(x1, (dim,), "x1").copy()
+    if dim < 1:
+        raise ValueError("dim must be a positive integer")
     return DiagProxState(
         h_diag=np.full(dim, _H_FLOOR),
         g_accum=np.zeros(dim),
-        x=x1,
+        x=_anchor(x1, (dim,)),
         h_prev=np.zeros(dim),
         round=1,
         reg_rounds=1.0,
@@ -170,9 +171,13 @@ def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
     """
     if isinstance(mode, BallConstraint):
         return weighted_l1_ball_project(target, h_sqrt, mode.radius)
-    if mode is not None and not isinstance(mode, CompositeRegularizer):
+    if mode is None:
+        q = target
+    elif isinstance(mode, CompositeRegularizer):
+        with np.errstate(over="ignore"):  # an overflowing q raises below
+            q = target * h_sqrt
+    else:
         raise TypeError(f"unsupported feasibility mode: {mode!r}")
-    q = target if mode is None else target * h_sqrt
     if not np.isfinite(q).all():
         raise NumericRangeError("diagonal step got a non-finite gradient or hint")
     if mode is None:
@@ -185,19 +190,22 @@ def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
 def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader: bool):
     """One diagonal round; ``leader`` selects the accumulated-gradient target."""
     g, h_next = _inputs(state.x.shape, g, h_next)
-    with np.errstate(over="ignore"):
+    # huge inputs may overflow here: a non-finite h_diag raises below, a
+    # non-finite target in the mode resolution
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = g - state.h_prev
         h_diag = state.h_diag + diff * diff
+        h_sqrt = np.sqrt(h_diag)
+        g_accum = state.g_accum + g
+        if leader:
+            target = -(g_accum + h_next) / h_sqrt
+        else:
+            target = state.x - (diff + h_next) / h_sqrt
     # raised before any state change: an infinite h_diag pins every later step
     if not h_diag.max() < math.inf:
         raise NumericRangeError("diagonal step's squared gradient minus hint is not finite")
-    h_sqrt = np.sqrt(h_diag)
-    g_accum = state.g_accum + g
     reg_rounds = state.reg_rounds + reg_weight
-    if leader:
-        x = _diag_resolve(-(g_accum + h_next) / h_sqrt, h_sqrt, mode, reg_rounds)
-    else:
-        x = _diag_resolve(state.x - (diff + h_next) / h_sqrt, h_sqrt, mode, reg_weight)
+    x = _diag_resolve(target, h_sqrt, mode, reg_rounds if leader else reg_weight)
     return DiagProxState(
         h_diag=h_diag,
         g_accum=g_accum,
@@ -250,6 +258,8 @@ class EgPmState:
 
 
 def eg_pm_init(dim: int) -> EgPmState:
+    if dim < 1:
+        raise ValueError("dim must be a positive integer")
     return EgPmState(log_weights=np.zeros(2 * dim), sum_sq=0.0, round=1)
 
 
@@ -266,7 +276,7 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     """
     d = state.log_weights.size // 2
     g, _ = _inputs((d,), g, None)
-    gmax = float(np.max(np.abs(g))) if d else 0.0
+    gmax = float(np.max(np.abs(g)))
     sum_sq = _add_square(state.sum_sq, gmax, "eg_pm step's gradient")
     if stepsize is None:
         stepsize = 1.0 / math.sqrt(1e-12 + sum_sq)
@@ -313,9 +323,15 @@ class EgPm(Learner):
 
     Hints and regularizer weights are accepted and ignored, but a given hint
     is checked as every learner checks it (:func:`~expopt.learners._inputs`).
+    ``radius`` and a given ``stepsize`` must be positive and finite.
     """
 
     def __init__(self, dim: int, radius: float, stepsize: float | None = None):
+        if not 0 < radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if stepsize is not None and not 0 < stepsize < math.inf:
+            raise ValueError("stepsize must be positive and finite")
+
         def advance(state, g, h_next, reg_weight):
             return eg_pm_step(state, _inputs((dim,), g, h_next)[0], radius, stepsize)
 

@@ -54,7 +54,7 @@ DEFAULT_SPECS = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="expopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in ("logistic", "multitask", "blackbox"):
+    for kind in DEFAULT_SPECS:
         cmd = sub.add_parser(kind, help=f"run the {kind} experiment")
         cmd.add_argument("--config", help="JSON config mirroring the experiment spec")
         cmd.add_argument("--out", default=f"{kind}_results.csv", help="output CSV path")

@@ -17,9 +17,9 @@ One mirror-descent body and one leader-following body serve vectors and
 matrices alike: the schedule names its :data:`Geometry` (:data:`VECTORS`
 here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  Every
 learner's step, these and the baselines', checks its inputs in one place,
-:func:`_inputs`.  A non-finite hint, or a non-finite or overflowing gradient
-mismatch, raises :class:`NumericRangeError` at the step boundary, before
-any state changes.
+:func:`_inputs`.  A non-finite hint, a non-finite or overflowing gradient
+mismatch, or an adaptive scale outside ``(0, inf)`` raises
+:class:`NumericRangeError` at the step boundary, before any state changes.
 """
 
 import math
@@ -102,10 +102,10 @@ def _fill_schedule(sched, k: int) -> None:
         object.__setattr__(
             sched, "eta", math.sqrt(1.0 / (math.log(sched.radius + 1.0) + math.log(k)))
         )
-    if not (sched.eta > 0 and sched.beta > 0):
-        raise ValueError("eta and beta must be positive")
-    if sched.epsilon0 < 0:
-        raise ValueError("epsilon0 must be nonnegative")
+    if not (0 < sched.eta < math.inf and 0 < sched.beta < math.inf):
+        raise ValueError("eta and beta must be positive and finite")
+    if not 0 <= sched.epsilon0 < math.inf:
+        raise ValueError("epsilon0 must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,16 @@ def _inputs(shape, g, h_next):
     return g, h_next
 
 
+def _anchor(x1, shape):
+    """A fresh copy of the anchor ``x1`` (default: the origin); ``ValueError`` if not finite."""
+    if x1 is None:
+        return np.zeros(shape)
+    x1 = _checked(x1, shape, "x1")
+    if not np.isfinite(x1).all():
+        raise ValueError("anchor x1 must be finite")
+    return x1.copy()
+
+
 def _add_square(sum_sq: float, norm: float, what: str) -> float:
     """``sum_sq + norm**2``, or :class:`NumericRangeError` if not finite."""
     try:
@@ -200,6 +210,8 @@ def _round_params(geo, sched, sum_sq, diff):
     """The new hint-error sum and this round's entropy parameters."""
     sum_sq = _add_square(sum_sq, geo.norm(diff), "gradient minus hint")
     alpha = sched.eta * math.sqrt(sched.epsilon0 + sum_sq)
+    if not 0 < alpha < math.inf:  # no hint error yet with epsilon0 = 0, or overflow
+        raise NumericRangeError(f"adaptive scale alpha = {alpha} is outside (0, inf)")
     return sum_sq, EntropyParams(alpha, sched.beta)
 
 
@@ -207,9 +219,9 @@ def omd_init(sched: ScheduleParams, x1=None) -> OmdState:
     """Fresh state at a feasible anchor (default: the origin)."""
     geo = sched.geometry
     shape = geo.shape(sched)
-    x1 = np.zeros(shape) if x1 is None else _checked(x1, shape, "x1")
+    x1 = _anchor(x1, shape)
     factor = geo.factor(x1, sched.beta)
-    return OmdState(x=x1.copy(), sum_sq=0.0, h_prev=np.zeros(shape), round=1, factor=factor)
+    return OmdState(x=x1, sum_sq=0.0, h_prev=np.zeros(shape), round=1, factor=factor)
 
 
 def omd_step(
@@ -239,10 +251,10 @@ def omd_step(
 def ftrl_init(sched: ScheduleParams, x1=None) -> FtrlState:
     geo = sched.geometry
     shape = geo.shape(sched)
-    x1 = np.zeros(shape) if x1 is None else _checked(x1, shape, "x1")
+    x1 = _anchor(x1, shape)
     return FtrlState(
         g_accum=np.zeros(shape),
-        x1=x1.copy(),
+        x1=x1,
         anchor_dual=geo.factor(x1, sched.beta),
         sum_sq=0.0,
         h_prev=np.zeros(shape),

@@ -60,8 +60,8 @@ class CompositeRegularizer:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError("regularizer weights must be nonnegative")
+        if not (0 <= self.l1 < math.inf and 0 <= self.l2 < math.inf):
+            raise ValueError("regularizer weights must be finite and nonnegative")
 
     def scaled(self, weight: float) -> "CompositeRegularizer":
         return CompositeRegularizer(self.l1 * weight, self.l2 * weight)
@@ -69,13 +69,13 @@ class CompositeRegularizer:
 
 @dataclass(frozen=True)
 class BallConstraint:
-    """l1 (or nuclear) ball of given positive radius."""
+    """l1 (or nuclear) ball of given positive, finite radius."""
 
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
 
 
 # Feasibility mode of a learner: None for the free space, a BallConstraint

@@ -300,3 +300,124 @@ def test_diagonal_learners_reject_a_non_finite_hint(name, bad):
         learner.step(0.5 * np.ones_like(learner.x), h_next=h)
     assert learner.state is state
     assert np.array_equal(learner.x, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_anchor_is_rejected_at_construction(bad):
+    anchor = np.array([bad, 0.0, 0.0])
+    for make in (
+        lambda: ExpMd(ScheduleParams(3, 1.0), mode=BallConstraint(1.0), x1=anchor),
+        lambda: ExpFtrl(ScheduleParams(3, 1.0), x1=anchor),
+        lambda: AdaGrad(3, x1=anchor),
+        lambda: AdaFtrl(3, mode=BallConstraint(1.0), x1=anchor),
+        lambda: SpectralExpMd(SpectralSchedule(3, 1, 1.0), x1=anchor.reshape(3, 1)),
+        lambda: SpectralExpFtrl(SpectralSchedule(1, 3, 1.0), x1=anchor.reshape(1, 3)),
+    ):
+        with pytest.raises(ValueError, match="x1"):
+            make()
+
+
+def test_baselines_reject_an_empty_dimension():
+    from expopt import EgPm, diag_init, eg_pm_init
+
+    for make in (
+        lambda: diag_init(0),
+        lambda: eg_pm_init(0),
+        lambda: AdaGrad(0),
+        lambda: AdaFtrl(-1),
+        lambda: EgPm(0, 1.0),
+    ):
+        with pytest.raises(ValueError, match="dim"):
+            make()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_parameter_objects_reject_non_finite_values(bad):
+    from expopt import EgPm
+
+    for make in (
+        lambda: ScheduleParams(3, 1.0, eta=bad),
+        lambda: ScheduleParams(3, 1.0, beta=bad),
+        lambda: ScheduleParams(3, 1.0, epsilon0=bad),
+        lambda: SpectralSchedule(3, 2, 1.0, eta=bad),
+        lambda: SpectralSchedule(3, 2, 1.0, beta=bad),
+        lambda: SpectralSchedule(3, 2, 1.0, epsilon0=bad),
+        lambda: CompositeRegularizer(l1=bad),
+        lambda: CompositeRegularizer(l2=bad),
+        lambda: BallConstraint(bad),
+        lambda: EgPm(3, bad),
+        lambda: EgPm(3, 1.0, stepsize=bad),
+    ):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_eg_pm_rejects_a_nonpositive_radius_or_stepsize():
+    from expopt import EgPm
+
+    for kwargs in ({"radius": -1.0}, {"radius": 0.0}, {"stepsize": -1.0}, {"stepsize": 0.0}):
+        with pytest.raises(ValueError):
+            EgPm(3, **{"radius": 1.0, **kwargs})
+    assert ScheduleParams(3, 1.0, epsilon0=0.0).epsilon0 == 0.0
+
+
+def scale_learners(sched, mode):
+    if isinstance(sched, SpectralSchedule):
+        return [SpectralExpMd(sched, mode=mode), SpectralExpFtrl(sched, mode=mode)]
+    return [ExpMd(sched, mode=mode), ExpFtrl(sched, mode=mode)]
+
+
+# an adaptive scale of 0 (no hint error yet, epsilon0 = 0) or inf (eta * 1e10)
+SCALE_CASES = {
+    "zero-vector": (lambda: ScheduleParams(3, 1.0, epsilon0=0.0), 0.0),
+    "zero-matrix": (lambda: SpectralSchedule(3, 2, 1.0, epsilon0=0.0), 0.0),
+    "inf-vector": (lambda: ScheduleParams(3, 1.0, eta=1e300), 1e10),
+    "inf-matrix": (lambda: SpectralSchedule(3, 2, 1.0, eta=1e300), 1e10),
+}
+
+
+@pytest.mark.parametrize("mode_name", list(MODES))
+@pytest.mark.parametrize("case", list(SCALE_CASES))
+def test_an_adaptive_scale_outside_the_positive_reals_is_a_numeric_error(case, mode_name):
+    make_sched, value = SCALE_CASES[case]
+    sched = make_sched()
+    for learner, fresh in zip(
+        scale_learners(sched, MODES[mode_name]), scale_learners(sched, MODES[mode_name])
+    ):
+        state, x = learner.state, learner.x.copy()
+        with pytest.raises(NumericRangeError, match="alpha"):
+            learner.step(np.full_like(learner.x, value))
+        assert learner.state is state
+        assert np.array_equal(learner.x, x)
+        # the rejected round left no trace: a later gradient steps as on a fresh learner
+        g = np.resize([0.5, -0.25, 0.125], learner.x.shape)
+        assert learner.step(g).tobytes() == fresh.step(g).tobytes()
+
+
+def test_adaftrl_raises_without_a_warning_when_its_target_overflows():
+    learner = AdaFtrl(3)
+    learner.step(np.full(3, 1e150), h_next=np.full(3, 1e308))
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(NumericRangeError):
+        learner.step(np.full(3, 1e308), h_next=np.full(3, 1e308))
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
+
+
+def test_adagrad_raises_without_a_warning_when_its_step_overflows():
+    learner = AdaGrad(3)
+    with pytest.raises(NumericRangeError):
+        learner.step(np.zeros(3), h_next=np.full(3, 1e306))
+    assert learner.state.round == 1
+    assert np.array_equal(learner.x, np.zeros(3))
+
+
+def test_elastic_net_adagrad_raises_without_a_warning_when_its_scaled_target_overflows():
+    learner = AdaGrad(3, mode=CompositeRegularizer(0.1, 0.1))
+    learner.step(np.array([0.0, 1.0, 0.0]), h_next=np.full(3, 1e154))
+    state, x = learner.state, learner.x.copy()
+    # target * sqrt(h_diag) leaves the float range for the hint-shifted point
+    with pytest.raises(NumericRangeError):
+        learner.step(np.zeros(3), h_next=np.zeros(3))
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
