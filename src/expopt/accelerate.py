@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import _range_guard
+
 __all__ = ["AccelState", "Accelerator"]
 
 
@@ -50,16 +52,20 @@ class Accelerator:
         """Advance one round; returns the query point ``z_t``.
 
         ``grad_fn(z)`` must return a (possibly stochastic) subgradient of
-        the smooth part of the objective at ``z``.
+        the smooth part of the objective at ``z``; it runs outside the guard
+        around this step's own arithmetic.
         """
         t = self.state.round
         a_t = float(t)
         a_next = float(t + 1)
         weight_sum = self.state.weight_sum + a_t
         tau = a_t / weight_sum
-        # t = 1 has tau = 1, so the initial z is irrelevant
-        z = tau * self.learner.x + (1.0 - tau) * self.state.z
+        with _range_guard():
+            # t = 1 has tau = 1, so the initial z is irrelevant
+            z = tau * self.learner.x + (1.0 - tau) * self.state.z
         g = np.asarray(grad_fn(z), dtype=float)
-        self.learner.step(a_t * g, h_next=a_next * g, reg_weight=a_next)
+        with _range_guard():
+            scaled, hint = a_t * g, a_next * g
+        self.learner.step(scaled, h_next=hint, reg_weight=a_next)
         self.state = AccelState(z=z, weight_sum=weight_sum, round=t + 1)
         return z

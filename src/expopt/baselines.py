@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import NumericRangeError
-from .learners import Learner, _add_square, _anchor, _inputs
+from .entropy import NumericRangeError, _range_guard
+from .learners import Learner, _add_square, _anchor, _checked, _inputs
 from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
 from .spectral import _project_spectrum
 
@@ -113,6 +113,7 @@ def _threshold_candidates(abs_y, w, radius: float):
     return np.flatnonzero(breaks >= bound)
 
 
+@_range_guard()
 def weighted_l1_ball_project(y, weights, radius: float):
     """Projection of ``y`` onto the l1 ball in the ``diag(weights)`` metric.
 
@@ -125,9 +126,9 @@ def weighted_l1_ball_project(y, weights, radius: float):
     on ``tau`` are sorted (:func:`_threshold_candidates`), with the same
     result.
 
-    Raises :class:`NumericRangeError` when ``||y||_1`` is not finite (a NaN
-    or infinite coordinate, or a sum that overflows); the check is the
-    feasibility test's own sum.
+    Raises :class:`NumericRangeError` when ``y`` has a NaN or infinite
+    coordinate, which the feasibility test's own sum shows, or when the guard
+    trips (that sum overflows, say).
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -160,60 +161,34 @@ def euclidean_nuclear_ball_project(y, radius: float):
     )
 
 
-def _diag_resolve(target, h_sqrt, mode: FeasibleMode, reg_weight: float):
-    """Minimize <q, x> + reg + 1/2 x' diag(h_sqrt) x shifted to ``target``.
+@_range_guard()
+def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader: bool):
+    """One diagonal round; ``leader`` selects the accumulated-gradient target.
 
-    ``target`` is the unconstrained minimizer; ball mode projects it in the
-    weighted metric, elastic net has the coordinatewise soft threshold of
-    ``target * h_sqrt``.  A non-finite target, or in elastic-net mode a
-    non-finite ``target * h_sqrt``, raises :class:`NumericRangeError` (in
-    ball mode through the projection's own l1 sum).
+    ``target`` is the round's minimizer without a mode; ball mode projects it
+    in the ``diag(h_sqrt)`` metric, elastic net soft-thresholds ``target * h_sqrt``.
     """
+    g, h_next = _inputs(state.x.shape, g, h_next)
+    diff = g - state.h_prev
+    h_diag = state.h_diag + diff * diff
+    h_sqrt = np.sqrt(h_diag)
+    g_accum = state.g_accum + g
+    if leader:
+        target = -(g_accum + h_next) / h_sqrt
+    else:
+        target = state.x - (diff + h_next) / h_sqrt
+    reg_rounds = state.reg_rounds + reg_weight
+    weight = reg_rounds if leader else reg_weight
     if isinstance(mode, BallConstraint):
-        return weighted_l1_ball_project(target, h_sqrt, mode.radius)
-    if mode is None:
-        q = target
+        x = weighted_l1_ball_project(target, h_sqrt, mode.radius)
     elif isinstance(mode, CompositeRegularizer):
-        with np.errstate(over="ignore"):  # an overflowing q raises below
-            q = target * h_sqrt
+        q = target * h_sqrt
+        x = np.sign(q) * np.maximum(np.abs(q) - mode.l1 * weight, 0.0) / (h_sqrt + mode.l2 * weight)
+    elif mode is None:
+        x = target
     else:
         raise TypeError(f"unsupported feasibility mode: {mode!r}")
-    if not np.isfinite(q).all():
-        raise NumericRangeError("diagonal step got a non-finite gradient or hint")
-    if mode is None:
-        return target
-    l1 = mode.l1 * reg_weight
-    l2 = mode.l2 * reg_weight
-    return np.sign(q) * np.maximum(np.abs(q) - l1, 0.0) / (h_sqrt + l2)
-
-
-def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader: bool):
-    """One diagonal round; ``leader`` selects the accumulated-gradient target."""
-    g, h_next = _inputs(state.x.shape, g, h_next)
-    # huge inputs may overflow here: a non-finite h_diag raises below, a
-    # non-finite target in the mode resolution
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = g - state.h_prev
-        h_diag = state.h_diag + diff * diff
-        h_sqrt = np.sqrt(h_diag)
-        g_accum = state.g_accum + g
-        if leader:
-            target = -(g_accum + h_next) / h_sqrt
-        else:
-            target = state.x - (diff + h_next) / h_sqrt
-    # raised before any state change: an infinite h_diag pins every later step
-    if not h_diag.max() < math.inf:
-        raise NumericRangeError("diagonal step's squared gradient minus hint is not finite")
-    reg_rounds = state.reg_rounds + reg_weight
-    x = _diag_resolve(target, h_sqrt, mode, reg_rounds if leader else reg_weight)
-    return DiagProxState(
-        h_diag=h_diag,
-        g_accum=g_accum,
-        x=x,
-        h_prev=h_next,
-        round=state.round + 1,
-        reg_rounds=reg_rounds,
-    ), x
+    return DiagProxState(h_diag, g_accum, x, h_next, state.round + 1, reg_rounds), x
 
 
 def adagrad_step(
@@ -263,6 +238,7 @@ def eg_pm_init(dim: int) -> EgPmState:
     return EgPmState(log_weights=np.zeros(2 * dim), sum_sq=0.0, round=1)
 
 
+@_range_guard()
 def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None):
     """Multiplicative update with the doubled gradient ``[D/2*g, -D/2*g]``.
 
@@ -271,11 +247,11 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     difference of the two weight halves (l1 norm at most ``radius``).
 
     A ``g`` of a shape other than ``(d,)`` raises ``ValueError``; one that
-    is not finite, or a sum of squared max-norms that overflows,
+    is not finite (its max-norm is not), or an overflow inside the step,
     :class:`NumericRangeError`.
     """
     d = state.log_weights.size // 2
-    g, _ = _inputs((d,), g, None)
+    g = _checked(g, (d,), "g")
     gmax = float(np.max(np.abs(g)))
     sum_sq = _add_square(state.sum_sq, gmax, "eg_pm step's gradient")
     if stepsize is None:

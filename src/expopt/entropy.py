@@ -11,6 +11,8 @@ with respect to the l1 norm on bounded sets, which is what the learners in
 scalars or numpy arrays alike.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,33 @@ class NumericRangeError(OverflowError):
     """
 
 
+class _range_guard(np.errstate):
+    """Overflow, invalid operations and division by zero raise
+    :class:`NumericRangeError`, not a ``RuntimeWarning``, in a ``with`` block or
+    an ``@_range_guard()`` function.  Underflow stays silent, and a quiet NaN or
+    an infinity taken as input sets no flag: check such inputs where they enter."""
+
+    def __init__(self):
+        super().__init__(over="raise", invalid="raise", divide="raise", under="ignore")
+
+    def __exit__(self, kind, exc, tb):
+        super().__exit__(kind, exc, tb)
+        if isinstance(exc, FloatingPointError):
+            raise NumericRangeError(f"floating-point {exc}") from exc
+
+    def __call__(self, fn):
+        raising = super().__call__(fn)  # numpy's own wrapper: cheaper than entering self
+
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return raising(*args, **kwargs)
+            except FloatingPointError as exc:
+                raise NumericRangeError(f"floating-point {exc}") from exc
+
+        return guarded
+
+
 @dataclass(frozen=True)
 class EntropyParams:
     """Scale and offset of the entropy-like potential.
@@ -60,10 +89,8 @@ class EntropyParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):  # NaN fails too
+            raise ValueError(f"alpha and beta must be positive and finite, got {self}")
 
 
 def entropy(x, p: EntropyParams):
@@ -88,12 +115,11 @@ def entropy_hess(x, p: EntropyParams):
     return p.alpha / (np.abs(x) + p.beta)
 
 
+@_range_guard()
 def _check_dual_range(theta, p: EntropyParams):
     u = np.abs(theta) / p.alpha
-    if np.any(u > EXP_ARG_LIMIT) or not np.all(np.isfinite(u)):
-        raise NumericRangeError(
-            "dual argument |theta|/alpha exceeds the floating-point exponent range"
-        )
+    if not np.all(u <= EXP_ARG_LIMIT):  # negated so that a NaN raises too
+        raise NumericRangeError("dual argument |theta|/alpha exceeds the exponent range")
     return u
 
 
@@ -116,7 +142,6 @@ def entropy_conj_grad(theta, p: EntropyParams):
 
     Inverse of :func:`entropy_grad`.
     """
-    theta = np.asarray(theta, dtype=float)
     u = _check_dual_range(theta, p)
     return p.beta * np.expm1(u) * np.sign(theta)
 
@@ -132,14 +157,10 @@ def reg_value(x, p: EntropyParams) -> float:
     return float(np.sum(entropy(x, p)))
 
 
-def mirror_map(x, p: EntropyParams):
-    """Gradient of the vector regularizer, applied coordinatewise."""
-    return entropy_grad(x, p)
-
-
-def mirror_map_inv(theta, p: EntropyParams):
-    """Gradient of the conjugate regularizer; inverse of :func:`mirror_map`."""
-    return entropy_conj_grad(theta, p)
+# The gradient of the vector regularizer, applied coordinatewise, and its
+# inverse, the gradient of the conjugate regularizer.
+mirror_map = entropy_grad
+mirror_map_inv = entropy_conj_grad
 
 
 def bregman_div(x, y, p: EntropyParams) -> float:

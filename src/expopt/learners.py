@@ -17,9 +17,10 @@ One mirror-descent body and one leader-following body serve vectors and
 matrices alike: the schedule names its :data:`Geometry` (:data:`VECTORS`
 here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  Every
 learner's step, these and the baselines', checks its inputs in one place,
-:func:`_inputs`.  A non-finite hint, a non-finite or overflowing gradient
-mismatch, or an adaptive scale outside ``(0, inf)`` raises
-:class:`NumericRangeError` at the step boundary, before any state changes.
+:func:`_inputs`, and runs under one floating-point guard.  A non-finite
+gradient or hint, an overflow, invalid operation or division by zero in the
+step, or an adaptive scale outside ``(0, inf)`` raises
+:class:`NumericRangeError`, with no ``RuntimeWarning``, before any state changes.
 """
 
 import math
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyParams, NumericRangeError, mirror_map_inv
+from .entropy import EntropyParams, NumericRangeError, _range_guard, mirror_map_inv
 from .prox import (
     BallConstraint,
     CompositeRegularizer,
@@ -173,16 +174,14 @@ def _inputs(shape, g, h_next):
     """A step's gradient and hint (zeros when none) as float arrays of ``shape``.
 
     The one check of every learner's step inputs, made before any state
-    changes: a wrong shape raises ``ValueError``, a non-finite hint
-    :class:`NumericRangeError`.
+    changes: a wrong shape raises ``ValueError``, a non-finite gradient or
+    hint (a quiet NaN trips no guard) :class:`NumericRangeError`.
     """
     g = _checked(g, shape, "g")
-    if h_next is None:
-        return g, np.zeros(shape)
-    h_next = _checked(h_next, shape, "h_next")
-    if not np.isfinite(h_next).all():
-        raise NumericRangeError("hint h_next is not finite")
-    return g, h_next
+    h = np.zeros(shape) if h_next is None else _checked(h_next, shape, "h_next")
+    if not (np.isfinite(g).all() and (h_next is None or np.isfinite(h).all())):
+        raise NumericRangeError("gradient g or hint h_next is not finite")
+    return g, h
 
 
 def _anchor(x1, shape):
@@ -196,11 +195,12 @@ def _anchor(x1, shape):
 
 
 def _add_square(sum_sq: float, norm: float, what: str) -> float:
-    """``sum_sq + norm**2``, or :class:`NumericRangeError` if not finite."""
-    try:
-        sum_sq = sum_sq + norm**2
-    except OverflowError:  # a finite norm whose square leaves the float range
-        sum_sq = math.inf
+    """``sum_sq + norm**2``, or :class:`NumericRangeError` if not finite.
+
+    The square is taken as a numpy scalar's, bit for bit the float power, so
+    that an overflow trips the calling step's guard.
+    """
+    sum_sq = sum_sq + float(np.float64(norm) ** 2)
     if not math.isfinite(sum_sq):
         raise NumericRangeError(f"{what} has a non-finite or overflowing norm")
     return sum_sq
@@ -224,6 +224,7 @@ def omd_init(sched: ScheduleParams, x1=None) -> OmdState:
     return OmdState(x=x1, sum_sq=0.0, h_prev=np.zeros(shape), round=1, factor=factor)
 
 
+@_range_guard()
 def omd_step(
     state: OmdState,
     g,
@@ -263,6 +264,7 @@ def ftrl_init(sched: ScheduleParams, x1=None) -> FtrlState:
     )
 
 
+@_range_guard()
 def ftrl_step(
     state: FtrlState,
     g,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EXP_ARG_LIMIT, EntropyParams, NumericRangeError
+from .entropy import EXP_ARG_LIMIT, EntropyParams, NumericRangeError, _range_guard
 from .lambertw import _w0_log_array
 
 __all__ = [
@@ -141,6 +141,7 @@ def elastic_net_prox_from_log(log_scale, signs, reg: CompositeRegularizer, p: En
     return signs * out
 
 
+@_range_guard()
 def l1_ball_project(y, ball: BallConstraint, p: EntropyParams, ops: dict | None = None):
     """Bregman projection of ``y`` onto the l1 ball (a copy of ``y`` if inside).
 
@@ -150,8 +151,8 @@ def l1_ball_project(y, ball: BallConstraint, p: EntropyParams, ops: dict | None 
     the number of sorts and full-array passes performed (outside the ball,
     one sort plus a constant number of O(d) passes).
 
-    Raises :class:`NumericRangeError` when ``||y||_1`` is not finite (a NaN
-    or infinite coordinate, or a sum that overflows).
+    Raises :class:`NumericRangeError` when ``y`` has a NaN or infinite
+    coordinate, or when the guard trips (an l1 sum that overflows, say).
     """
     y = np.asarray(y, dtype=float)
     d = y.size

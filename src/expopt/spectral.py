@@ -15,7 +15,6 @@ their spectral names; mirror-descent states carry the factors of the current
 iterate, so each step costs a single decomposition of the dual matrix.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +89,6 @@ def spectral_norm(x) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def _matrix_norm(d):
-    try:
-        return spectral_norm(d)
-    except np.linalg.LinAlgError:
-        # a NaN entry makes the SVD fail to converge: report a non-finite
-        # norm, which the step rejects
-        return math.nan
-
-
 def _matrix_factor(x, beta):
     f = svd(x)
     return SvdFactors(f.u, np.log1p(f.s / beta), f.vt)
@@ -116,7 +106,7 @@ def _resolve_matrix(z, p, mode, reg_weight):
 # dual matrix is factored once and its spectrum resolved as in the vector learner.
 MATRICES = Geometry(
     shape=lambda sched: (sched.m, sched.n),
-    norm=_matrix_norm,
+    norm=lambda d: spectral_norm(d),  # looked up per call, so a wrapper of it sees the steps
     factor=_matrix_factor,
     mirror=lambda f, p: (f.u * (p.alpha * f.s)) @ f.vt,
     resolve=_resolve_matrix,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import NumericRangeError
+from .entropy import NumericRangeError, _range_guard
 
 __all__ = [
     "EstimatorConfig",
@@ -95,26 +95,28 @@ def two_point_grad_rows(f_rows, x, cfg: EstimatorConfig, rng: np.random.Generato
     bit, that of a loop adding ``(f(x + mu*v) - f(x)) * v`` one direction
     at a time.
 
-    Raises :class:`~expopt.entropy.NumericRangeError` when a value of the
-    oracle is not finite, or a difference of two values overflows, and
+    Raises :class:`~expopt.entropy.NumericRangeError` when an oracle value is
+    not finite or the guarded arithmetic around the oracle call overflows, and
     ``ValueError`` when the oracle returns other than one value per row.
     """
     x = np.asarray(x, dtype=float)
-    dirs = _directions(cfg.direction_law, cfg.batch, x.size, rng)
-    points = np.empty((cfg.batch + 1, x.size))
-    points[0] = x
-    np.add(x, cfg.mu * dirs, out=points[1:])
+    with _range_guard():
+        dirs = _directions(cfg.direction_law, cfg.batch, x.size, rng)
+        points = np.empty((cfg.batch + 1, x.size))
+        points[0] = x
+        np.add(x, cfg.mu * dirs, out=points[1:])
     values = np.asarray(f_rows(points), dtype=float)
     if values.shape != (cfg.batch + 1,):
         raise ValueError(f"oracle returned shape {values.shape} for {cfg.batch + 1} rows")
-    diffs = values[1:] - values[0]
-    if not np.isfinite(diffs).all():
-        raise NumericRangeError("two-point estimate got a non-finite oracle value")
-    # a zero first row, then an accumulate down the rows: the sequential order
-    # of a loop (an axis-0 add.reduce sums a single column pairwise)
-    terms = np.zeros((cfg.batch + 1, x.size))
-    np.multiply(diffs[:, None], dirs, out=terms[1:])
-    return (cfg.delta / (cfg.mu * cfg.batch)) * np.add.accumulate(terms, axis=0)[-1]
+    with _range_guard():
+        diffs = values[1:] - values[0]
+        if not np.isfinite(diffs).all():
+            raise NumericRangeError("two-point estimate got a non-finite oracle value")
+        # a zero first row, then an accumulate down the rows: the sequential
+        # order of a loop (an axis-0 add.reduce sums a single column pairwise)
+        terms = np.zeros((cfg.batch + 1, x.size))
+        np.multiply(diffs[:, None], dirs, out=terms[1:])
+        return (cfg.delta / (cfg.mu * cfg.batch)) * np.add.accumulate(terms, axis=0)[-1]
 
 
 def two_point_grad(f, x, cfg: EstimatorConfig, rng: np.random.Generator) -> np.ndarray:

@@ -63,7 +63,7 @@ class TestWeightedProjection:
 
     def test_overflowing_l1_norm_raises(self):
         y = np.array([1e308, -1e308, 1.0])
-        with pytest.raises(NumericRangeError), np.errstate(over="ignore"):
+        with pytest.raises(NumericRangeError):
             weighted_l1_ball_project(y, np.ones(3), 1.0)
 
     def test_feasible_and_sign_preserving(self):

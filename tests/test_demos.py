@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the library in ``src/``."""
+"""Every demo script runs to completion against the library in ``src/``, with
+floating-point ``RuntimeWarning``s as errors, so that neither the library
+nor its guard trips on a harmless flag along a demo's path."""
 
 import os
 import subprocess
@@ -22,7 +24,7 @@ def test_demo_exits_cleanly(demo, tmp_path):
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=600, check=False,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -1,6 +1,7 @@
 """One typed failure at the step boundary, and a harness that never writes a non-finite row."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from expopt import (
     AdaGrad,
     BallConstraint,
     CompositeRegularizer,
+    EntropyParams,
     ExpFtrl,
     ExpMd,
     NumericRangeError,
@@ -17,8 +19,11 @@ from expopt import (
     SpectralExpFtrl,
     SpectralExpMd,
     SpectralSchedule,
+    mirror_map_inv,
 )
+from expopt.accelerate import Accelerator
 from expopt.harness import ExperimentSpec, registry, run_experiment, streams
+from expopt.zeroth_order import rademacher_config, two_point_grad_rows
 
 # |g| = 1e200 is finite, but its square is not
 BAD_VALUES = [np.nan, np.inf, -np.inf, 1e200]
@@ -41,8 +46,7 @@ def matrix_learners(mode):
 def assert_rejected_and_unchanged(learner, bad_g):
     learner.step(0.1 * np.ones_like(learner.x))
     state, x = learner.state, learner.x.copy()
-    # an infinite entry may warn on its way to the check (inf / inf)
-    with pytest.raises(NumericRangeError), np.errstate(invalid="ignore"):
+    with pytest.raises(NumericRangeError):
         learner.step(bad_g)
     assert learner.state is state
     assert np.array_equal(learner.x, x)
@@ -214,8 +218,7 @@ def test_elastic_net_ftrl_raises_instead_of_returning_nan():
     for g, h in steps:
         state, x = learner.state, learner.x.copy()
         try:
-            with np.errstate(over="ignore"):
-                out = learner.step(g, h_next=h)
+            out = learner.step(g, h_next=h)
         except NumericRangeError:
             raised += 1
             assert learner.state is state
@@ -421,3 +424,89 @@ def test_elastic_net_adagrad_raises_without_a_warning_when_its_scaled_target_ove
         learner.step(np.zeros(3), h_next=np.zeros(3))
     assert learner.state is state
     assert np.array_equal(learner.x, x)
+
+
+def _accelerator_hint():
+    # the gradient is finite, but the hint a_next * g = 2e308 is not
+    acc = Accelerator(ExpMd(ScheduleParams(3, 1.0), mode=CompositeRegularizer(0.1, 0.1)))
+    acc.step(lambda z: np.ones(3))
+    return (
+        lambda: acc.step(lambda z: np.full(3, 1e308)),
+        lambda: (acc.state, acc.learner.state, acc.learner.x.tobytes()),
+    )
+
+
+def _adagrad_ball_sequence():
+    # a finite target whose l1 sum overflows inside the weighted projection
+    learner = AdaGrad(3, mode=BallConstraint(2.0))
+    learner.step(np.array([0.0, 1.0, 0.0]))
+    return (
+        lambda: learner.step(np.ones(3), h_next=np.full(3, -1e308)),
+        lambda: (learner.state, learner.x.tobytes()),
+    )
+
+
+def _mirror_map_inv_tiny_alpha():
+    theta = np.array([1e10])
+    return lambda: mirror_map_inv(theta, EntropyParams(1e-300, 1.0)), lambda: (theta.tobytes(),)
+
+
+# each case: the call that overflows, and what it must leave as it was
+ESCAPES = {
+    "accelerator-hint": _accelerator_hint,
+    "adagrad-ball-sequence": _adagrad_ball_sequence,
+    "mirror-map-inv-tiny-alpha": _mirror_map_inv_tiny_alpha,
+}
+
+
+@pytest.mark.parametrize("case", list(ESCAPES))
+def test_an_overflow_inside_the_library_raises_without_a_warning(case):
+    act, observe = ESCAPES[case]()
+    before = observe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRangeError):
+            act()
+    for was, now in zip(before, observe()):
+        assert was == now if isinstance(was, bytes) else was is now
+
+
+def _overflowing_but_harmless(values):
+    # exp(1000) overflows to inf, so the term is exactly 0; under the
+    # library's guard the overflow would raise instead
+    return values + 1.0 / (1.0 + np.exp(np.full_like(values, 1000.0)))
+
+
+def test_a_user_oracle_runs_outside_the_guard():
+    cfg = rademacher_config(mu=0.01, batch=3)
+    clean = two_point_grad_rows(
+        lambda rows: rows.sum(axis=1), np.ones(4), cfg, np.random.default_rng(9)
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        noisy = two_point_grad_rows(
+            lambda rows: _overflowing_but_harmless(rows.sum(axis=1)),
+            np.ones(4), cfg, np.random.default_rng(9),
+        )
+    assert noisy.tobytes() == clean.tobytes()
+
+
+def test_a_grad_fn_runs_outside_the_guard():
+    def run(grad_fn):
+        acc = Accelerator(ExpMd(ScheduleParams(3, 1.0), mode=CompositeRegularizer(0.1, 0.1)))
+        return [acc.step(grad_fn).tobytes() for _ in range(3)]
+
+    clean = run(lambda z: z - 0.5)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        noisy = run(lambda z: _overflowing_but_harmless(z - 0.5))
+    assert noisy == clean
+
+
+def test_a_callers_underflow_setting_does_not_reach_a_step():
+    # the hint puts one log scale ~1e4 above the rest, so exp(L - max L)
+    # underflows to 0 inside the projection: harmless, and not an error
+    learner, plain = (ExpMd(ScheduleParams(5, 1.0), mode=BallConstraint(1.0)) for _ in range(2))
+    h = np.array([1e4, 0.0, 0.0, 0.0, 0.0])
+    expected = plain.step(np.full(5, 0.1), h_next=h)
+    with np.errstate(under="raise"):
+        got = learner.step(np.full(5, 0.1), h_next=h)
+    assert got.tobytes() == expected.tobytes()
