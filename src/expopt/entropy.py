@@ -146,6 +146,7 @@ def entropy_conj_grad(theta, p: EntropyParams):
     return p.beta * np.expm1(u) * np.sign(theta)
 
 
+@_range_guard()
 def entropy_conj_hess(theta, p: EntropyParams):
     """Second derivative of the conjugate, (beta/alpha)*exp(|theta|/alpha)."""
     u = _check_dual_range(theta, p)

@@ -1,16 +1,19 @@
 """Experiment orchestration, regret accounting, and CSV/metadata output.
 
-Every trial draws its own child of ``SeedSequence(seed)``, generates the
-data once, and runs every requested algorithm over the identical arrays;
-records therefore only depend on the spec.  Rows are emitted sorted by
-(algorithm, trial, round) and floats are written with their shortest
-round-trip representation, so equal configurations produce byte-identical
-CSV files.  Each run yields its per-round values to one loop that records
-them; a numeric error, or a non-finite loss, regret or objective, ends
-that algorithm's trial with a :class:`TrialFailure` at the round, which
-writes no row.
+Every trial draws its own child of ``SeedSequence(seed)`` and generates its
+data block by block: its algorithms advance together, each playing a block of
+rounds before the next is drawn.  A logistic block holds up to
+``streams.BLOCK_BYTES`` of features, so memory per trial is O(block * dim),
+and a side-effecting oracle sees the algorithms interleaved by block once the
+horizon exceeds one (a multitask or blackbox trial is one block).  Rows are
+sorted by (algorithm, trial, round), floats written in their shortest
+round-trip form, so equal configurations give byte-identical CSV files.  A
+numeric error, or a non-finite loss, regret or objective, ends that
+algorithm's trial with a :class:`TrialFailure` at the round, with no row.
 """
 
+import functools
+import itertools
 import json
 import math
 import operator
@@ -135,26 +138,26 @@ class TrialFailure:
     error: str
 
 
-def _regrets(learner, oracle, stream, comp_losses, horizon):
+def _regrets(learner, oracle, rounds):
     """Cumulative regret after each round, checked before the learner steps."""
     cum = 0.0
-    for t in range(horizon):
-        loss, grad = oracle(learner.x, stream.features[t], stream.labels[t])
-        cum += loss - comp_losses[t]
+    for x, y, comp_loss in rounds:
+        loss, grad = oracle(learner.x, x, y)
+        cum += loss - comp_loss
         if not math.isfinite(cum):
             raise NumericRangeError(f"cumulative regret is not finite ({cum})")
         learner.step(grad)
         yield cum
 
 
-def _objectives(name, batch, spec, problem, seed_seq):
+def _objectives(name, batch, spec, problem, seed_seq, rounds):
     """Objective value at the accelerated learner's averaged point, each round."""
     rng = np.random.default_rng(seed_seq)
     mu = default_smoothing(spec.dim, max(spec.horizon, 1))
     learner, recipe = registry.accelerated_family(name, spec.dim, problem.reg)
     cfg = recipe(mu, batch)
     acc = Accelerator(learner)
-    for _ in range(spec.horizon):
+    for _ in rounds:
         z = acc.step(lambda v: two_point_grad_rows(problem.smooth, v, cfg, rng))
         value = problem.objective(z)
         if not math.isfinite(value):
@@ -162,19 +165,29 @@ def _objectives(name, batch, spec, problem, seed_seq):
         yield value
 
 
-def _collect(kind, label, trial, values):
-    """One run's ``(label, trial, records, failure)``: its rows, or where it broke."""
-    records = []
-    try:
-        for value in values:
-            records.append(RegretRecord(kind, label, trial, len(records) + 1, float(value)))
-    except _NUMERIC_ERRORS as exc:
-        return label, trial, records, TrialFailure(label, trial, len(records) + 1, str(exc))
-    return label, trial, records, None
+def _collect(kind, trial, runs, blocks):
+    """Each run's ``(label, trial, records, failure)``, all runs advancing block by block."""
+    held = [None]
+
+    def rounds():  # a run reads each block (a tuple of columns) when it reaches it
+        while True:
+            yield from zip(*held[0])
+
+    results = [(label, run(rounds()), []) for label, run in runs]
+    failures = {}
+    for block in blocks:
+        held[0] = block
+        for label, values, records in results:  # a run that raised yields no more
+            try:
+                for value in itertools.islice(values, len(block[0])):
+                    records.append(RegretRecord(kind, label, trial, len(records) + 1, float(value)))
+            except _NUMERIC_ERRORS as exc:
+                failures[label] = TrialFailure(label, trial, len(records) + 1, str(exc))
+    return [(label, trial, records, failures.get(label)) for label, _, records in results]
 
 
 def _run_trial(spec: ExperimentSpec, trial: int, seed_seq) -> list:
-    """The trial's blocks; its algorithms are built and run one at a time, in spec order."""
+    """The trial's results; its runs advance together, one block of rounds at a time."""
     rng = np.random.default_rng(seed_seq)
     if spec.kind == "blackbox":
         problem = streams.gen_blackbox_problem(spec.dim, rng)
@@ -182,31 +195,30 @@ def _run_trial(spec: ExperimentSpec, trial: int, seed_seq) -> list:
         variants = [(f"{name}@b1", name, 1) for name in spec.algorithms]
         variants += [(f"{name}@bsqrtT", name, sqrt_batch) for name in spec.algorithms]
         children = seed_seq.spawn(len(variants))
-        runs = (
-            (label, _objectives(name, batch, spec, problem, child))
+        runs = [
+            (label, functools.partial(_objectives, name, batch, spec, problem, child))
             for (label, name, batch), child in zip(variants, children)
-        )
+        ]
+        return _collect(spec.kind, trial, runs, [(range(spec.horizon),)])
+    if spec.kind == "logistic":
+        shape = (spec.dim,)
+        w_star, blocks = streams.logistic_blocks(spec.dim, spec.horizon, spec.sparsity, rng)
+        radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(np.abs(w_star)))
+        build, oracle = registry.build_vector_learner, streams.logistic_loss_grad
     else:
-        if spec.kind == "logistic":
-            shape = (spec.dim,)
-            stream = streams.gen_logistic_stream(spec.dim, spec.horizon, spec.sparsity, rng)
-            radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(np.abs(stream.w_star)))
-            margins = stream.labels * (stream.features @ stream.w_star)
-            comp_losses = np.logaddexp(0.0, -margins)
-            build, oracle = registry.build_vector_learner, streams.logistic_loss_grad
-        else:
-            shape = (spec.dim, spec.tasks)
-            stream = streams.gen_multitask_stream(*shape, spec.rank, spec.horizon, rng)
-            radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(stream.singular_values))
-            margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
-            comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
-            build, oracle = registry.build_matrix_learner, streams.multitask_loss_grad
-        radius = radius if radius > 0 else 1.0  # degenerate all-zero truth
-        runs = (
-            (name, _regrets(build(name, *shape, radius), oracle, stream, comp_losses, spec.horizon))
-            for name in spec.algorithms
-        )
-    return [_collect(spec.kind, label, trial, values) for label, values in runs]
+        shape = (spec.dim, spec.tasks)
+        stream = streams.gen_multitask_stream(*shape, spec.rank, spec.horizon, rng)
+        radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(stream.singular_values))
+        margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
+        comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
+        blocks = [(stream.features, stream.labels, comp_losses)]
+        build, oracle = registry.build_matrix_learner, streams.multitask_loss_grad
+    radius = radius if radius > 0 else 1.0  # degenerate all-zero truth
+    runs = [
+        (name, functools.partial(_regrets, build(name, *shape, radius), oracle))
+        for name in spec.algorithms
+    ]
+    return _collect(spec.kind, trial, runs, blocks)
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
@@ -220,11 +232,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
         if name not in KINDS[spec.kind]:
             raise KeyError(f"unknown {spec.kind} algorithm {name!r}")
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
-    blocks = [block for i in range(spec.trials) for block in _run_trial(spec, i, seeds[i])]
-    # each block's rows run in round order, so sorting the blocks sorts the rows
-    blocks.sort(key=lambda block: block[:2])
-    records = [r for _, _, recs, _ in blocks for r in recs]
-    return records, [failure for *_, failure in blocks if failure]
+    runs = [run for i in range(spec.trials) for run in _run_trial(spec, i, seeds[i])]
+    # each run's rows are in round order, so sorting the runs sorts the rows
+    runs.sort(key=lambda run: run[:2])
+    records = [r for _, _, recs, _ in runs for r in recs]
+    return records, [failure for *_, failure in runs if failure]
 
 
 def write_csv(records, path) -> None:
@@ -279,10 +291,7 @@ def aggregate_mean_std(records):
         grouped.setdefault(r.algorithm, {}).setdefault(r.trial, []).append((r.round, r.value))
     out = {}
     for algo, trials in grouped.items():
-        curves = []
-        for trial in sorted(trials):
-            rows = sorted(trials[trial])
-            curves.append([v for _, v in rows])
+        curves = [[v for _, v in sorted(trials[trial])] for trial in sorted(trials)]
         length = min(len(c) for c in curves)
         arr = np.array([c[:length] for c in curves])
         rounds = np.arange(1, length + 1)

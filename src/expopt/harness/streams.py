@@ -8,6 +8,7 @@ Three problem families, all deterministic given a numpy Generator:
   standing in for expensive model-specific losses.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "MultitaskStream",
     "BlackboxComposite",
     "gen_logistic_stream",
+    "logistic_blocks",
     "gen_multitask_stream",
     "gen_blackbox_problem",
     "logistic_loss",
@@ -59,13 +61,18 @@ class LogisticStream:
     labels: np.ndarray  # (horizon,), values in {-1, +1}
 
 
-def gen_logistic_stream(
-    dim: int, horizon: int, sparsity: float, rng: np.random.Generator
-) -> LogisticStream:
-    """Sparse logit stream: ``ceil((1 - sparsity) * dim)`` nonzero truth.
+# Feature bytes per logistic block: 16 rows at d=20000, 640 at d=500.  The runs
+# switch learners at each block, which cost 8% of d=500 throughput at 16 rows.
+BLOCK_BYTES = 2_560_000
 
-    Nonzero coordinates and feature vectors are uniform on [-1, 1]; labels
-    are +1 with probability ``sigmoid(w_star . x)``.
+
+def logistic_blocks(dim: int, horizon: int, sparsity: float, rng: np.random.Generator):
+    """``(w_star, blocks)``: :func:`gen_logistic_stream` drawn a block of rows at a time.
+
+    ``blocks`` yields ``(features, labels, w_star's losses)``, bit for bit: labels come from a
+    copy of ``rng`` advanced past the ``horizon * dim`` feature draws.  A block is the most rows
+    within ``BLOCK_BYTES``, a multiple of 4 and at least 4: OpenBLAS's gemv groups rows by 4 and
+    takes ddot for one row, so a lone last row joins the block before it.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError("sparsity must lie in [0, 1]")
@@ -75,10 +82,33 @@ def gen_logistic_stream(
     if nnz > 0:
         support = rng.choice(dim, size=nnz, replace=False)
         w_star[support] = rng.uniform(-1.0, 1.0, size=nnz)
-    features = rng.uniform(-1.0, 1.0, size=(horizon, dim))
-    probs = _sigmoid(features @ w_star)
-    labels = np.where(rng.random(horizon) < probs, 1.0, -1.0)
-    return LogisticStream(w_star=w_star, features=features, labels=labels)
+    label_rng = copy.deepcopy(rng)
+    label_rng.bit_generator.advance(horizon * dim)
+    rows = 4 * max(BLOCK_BYTES // (32 * dim), 1)
+    stops = [*range(rows, horizon - 1, rows), horizon]  # one block, empty, at horizon 0
+
+    def blocks():
+        for start, stop in zip([0, *stops], stops):
+            features = rng.uniform(-1.0, 1.0, size=(stop - start, dim))
+            margins = features @ w_star
+            labels = np.where(label_rng.random(stop - start) < _sigmoid(margins), 1.0, -1.0)
+            yield features, labels, np.logaddexp(0.0, -(labels * margins))
+
+    return w_star, blocks()
+
+
+def gen_logistic_stream(
+    dim: int, horizon: int, sparsity: float, rng: np.random.Generator
+) -> LogisticStream:
+    """Sparse logit stream: ``ceil((1 - sparsity) * dim)`` nonzero truth.
+
+    Nonzero coordinates and feature vectors are uniform on [-1, 1]; labels
+    are +1 with probability ``sigmoid(w_star . x)``.
+    """
+    w_star, blocks = logistic_blocks(dim, horizon, sparsity, rng)
+    features, labels, _ = zip(*blocks)
+    rng.random(horizon)  # skip the label draws: rng ends as after one draw of each
+    return LogisticStream(w_star, np.concatenate(features), np.concatenate(labels))
 
 
 # OpenBLAS computes a ddot of at most this many elements on one thread; above

@@ -44,9 +44,11 @@ def test_reduction_sums_the_halves_above_the_leaf_size():
 
 
 def test_odd_length_splits_at_half_rounded_down():
+    # 20 001 -> 10 000 + 10 001, and the 10 001 half -> 5 000 + 5 001: every
+    # leaf is a one-thread np.dot whatever the test process's BLAS threads
     a, b = pair(20_001, 3)
-    expected = float(np.dot(a[:10_000], b[:10_000])) + float(np.dot(a[10_000:], b[10_000:]))
-    assert _fixed_order_dot(a, b) == expected
+    leaves = [float(np.dot(a[i:j], b[i:j])) for i, j in ((0, 10_000), (10_000, 15_000), (15_000, 20_001))]
+    assert _fixed_order_dot(a, b) == leaves[0] + (leaves[1] + leaves[2])
 
 
 def d20k_config(tmp_path):

@@ -12,6 +12,7 @@ from expopt import (
     entropy,
     entropy_conj,
     entropy_conj_grad,
+    entropy_conj_hess,
     entropy_grad,
     entropy_hess,
     mirror_map,
@@ -129,6 +130,12 @@ class TestConjugate:
             entropy_conj_grad(800.0, UNIT)
         with pytest.raises(NumericRangeError):
             entropy_conj_grad(7.5, EntropyParams(0.01, 1.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_conj_hess_overflow_past_the_range_check_raises_without_a_warning(self):
+        # |theta|/alpha = 690 passes the range check; beta/alpha * exp(690) overflows
+        with pytest.raises(NumericRangeError):
+            entropy_conj_hess([0.69], EntropyParams(1e-3, 1e10))
 
 
 class TestVectorRegularizer:
