@@ -41,7 +41,6 @@ for radius in (4.0, 2.0, 0.5):
     print(f"  radius {radius}: {np.round(out, 4)}  (l1 norm {np.abs(out).sum():.10f})")
 
 print("\nsmall magnitudes drop out first; survivors share one rescaling:")
-ops = {}
 big = np.linspace(-3, 3, 1001)
-out = l1_ball_project(big, BallConstraint(10.0), p, ops=ops)
-print(f"  d=1001 projection: {np.count_nonzero(out)} nonzeros, work = {ops}")
+out = l1_ball_project(big, BallConstraint(10.0), p)
+print(f"  d=1001 projection: {np.count_nonzero(out)} nonzeros, l1 norm {np.abs(out).sum():.10f}")

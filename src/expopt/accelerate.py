@@ -43,11 +43,6 @@ class Accelerator:
         self.learner = learner
         self.state = AccelState(z=np.zeros_like(learner.x), weight_sum=0.0, round=1)
 
-    @property
-    def solution(self):
-        """Current averaged query point ``z_t``."""
-        return self.state.z
-
     def step(self, grad_fn):
         """Advance one round; returns the query point ``z_t``.
 

@@ -168,7 +168,7 @@ def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader:
     ``target`` is the round's minimizer without a mode; ball mode projects it
     in the ``diag(h_sqrt)`` metric, elastic net soft-thresholds ``target * h_sqrt``.
     """
-    g, h_next = _inputs(state.x.shape, g, h_next)
+    g, h_next = _inputs(state.x.shape, g, h_next, reg_weight)
     diff = g - state.h_prev
     h_diag = state.h_diag + diff * diff
     h_sqrt = np.sqrt(h_diag)
@@ -178,6 +178,8 @@ def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader:
     else:
         target = state.x - (diff + h_next) / h_sqrt
     reg_rounds = state.reg_rounds + reg_weight
+    if math.isinf(reg_rounds):  # a sum of Python floats trips no guard
+        raise NumericRangeError("accumulated regularizer weight overflows")
     weight = reg_rounds if leader else reg_weight
     if isinstance(mode, BallConstraint):
         x = weighted_l1_ball_project(target, h_sqrt, mode.radius)
@@ -297,8 +299,8 @@ class AdaFtrl(Learner):
 class EgPm(Learner):
     """Stateful signed multiplicative-weights baseline on a radius-D ball.
 
-    Hints and regularizer weights are accepted and ignored, but a given hint
-    is checked as every learner checks it (:func:`~expopt.learners._inputs`).
+    Hints and regularizer weights are accepted and ignored, but both are
+    checked as every learner checks them (:func:`~expopt.learners._inputs`).
     ``radius`` and a given ``stepsize`` must be positive and finite.
     """
 
@@ -309,7 +311,7 @@ class EgPm(Learner):
             raise ValueError("stepsize must be positive and finite")
 
         def advance(state, g, h_next, reg_weight):
-            return eg_pm_step(state, _inputs((dim,), g, h_next)[0], radius, stepsize)
+            return eg_pm_step(state, _inputs((dim,), g, h_next, reg_weight)[0], radius, stepsize)
 
         # equal weights on both halves: the decision starts at the origin
         super().__init__(eg_pm_init(dim), np.zeros(dim), advance)

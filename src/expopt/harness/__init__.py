@@ -17,7 +17,6 @@ from .streams import (
     gen_multitask_stream,
     logistic_grad,
     logistic_loss,
-    multitask_grad,
     multitask_loss,
 )
 
@@ -37,5 +36,4 @@ __all__ = [
     "logistic_loss",
     "logistic_grad",
     "multitask_loss",
-    "multitask_grad",
 ]

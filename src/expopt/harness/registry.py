@@ -2,7 +2,8 @@
 
 Online (regret) experiments use learners exposing ``.x`` and ``.step(g)``;
 the black-box experiment wraps accelerated learners around two-point
-gradient estimators, pairing each family with its estimator recipe.
+gradient estimators, pairing each family with its estimator recipe.  The
+accelerated learners run in elastic-net mode with schedules for radius 1.
 """
 
 import functools
@@ -82,7 +83,7 @@ def build_matrix_learner(name: str, m: int, n: int, radius: float):
     raise KeyError(f"unknown matrix algorithm {name!r}")
 
 
-def accelerated_family(name: str, dim: int, reg: CompositeRegularizer, radius: float = 1.0):
+def accelerated_family(name: str, dim: int, reg: CompositeRegularizer):
     """Inner learner and estimator recipe for an accelerated algorithm.
 
     The recipe maps ``(mu, batch)`` to the family's
@@ -91,9 +92,9 @@ def accelerated_family(name: str, dim: int, reg: CompositeRegularizer, radius: f
     (delta = dim) for diagonal ones.
     """
     if name == "acc_exp_md":
-        return ExpMd(ScheduleParams(dim, radius), mode=reg), rademacher_config
+        return ExpMd(ScheduleParams(dim, 1.0), mode=reg), rademacher_config
     if name == "acc_exp_ftrl":
-        return ExpFtrl(ScheduleParams(dim, radius), mode=reg), rademacher_config
+        return ExpFtrl(ScheduleParams(dim, 1.0), mode=reg), rademacher_config
     if name == "acc_adagrad":
         return AdaGrad(dim, mode=reg), functools.partial(sphere_config, dim)
     if name == "acc_adaftrl":

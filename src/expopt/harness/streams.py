@@ -27,7 +27,6 @@ __all__ = [
     "logistic_grad",
     "logistic_loss_grad",
     "multitask_loss",
-    "multitask_grad",
     "multitask_loss_grad",
 ]
 
@@ -72,7 +71,8 @@ def logistic_blocks(dim: int, horizon: int, sparsity: float, rng: np.random.Gene
     ``blocks`` yields ``(features, labels, w_star's losses)``, bit for bit: labels come from a
     copy of ``rng`` advanced past the ``horizon * dim`` feature draws.  A block is the most rows
     within ``BLOCK_BYTES``, a multiple of 4 and at least 4: OpenBLAS's gemv groups rows by 4 and
-    takes ddot for one row, so a lone last row joins the block before it.
+    takes ddot for one row, so a lone last row joins the block before it, and the one row of a
+    horizon-1 stream takes :func:`_fixed_order_dot`.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError("sparsity must lie in [0, 1]")
@@ -90,7 +90,10 @@ def logistic_blocks(dim: int, horizon: int, sparsity: float, rng: np.random.Gene
     def blocks():
         for start, stop in zip([0, *stops], stops):
             features = rng.uniform(-1.0, 1.0, size=(stop - start, dim))
-            margins = features @ w_star
+            if stop - start == 1:  # horizon 1: not ddot, whose bits depend on the BLAS threads
+                margins = np.array([_fixed_order_dot(features[0], w_star)])
+            else:
+                margins = features @ w_star
             labels = np.where(label_rng.random(stop - start) < _sigmoid(margins), 1.0, -1.0)
             yield features, labels, np.logaddexp(0.0, -(labels * margins))
 
@@ -197,10 +200,6 @@ def multitask_loss(w, features_t, labels_t) -> float:
     return multitask_loss_grad(w, features_t, labels_t)[0]
 
 
-def multitask_grad(w, features_t, labels_t) -> np.ndarray:
-    return multitask_loss_grad(w, features_t, labels_t)[1]
-
-
 @dataclass(frozen=True)
 class BlackboxComposite:
     """Hinge over convex quadratics plus an elastic-net term.
@@ -248,16 +247,15 @@ class BlackboxComposite:
         )
 
 
-def gen_blackbox_problem(
-    dim: int, rng: np.random.Generator, pieces: int = 3, kappa: float = 0.5
-) -> BlackboxComposite:
-    mats = rng.standard_normal((pieces, dim, dim)) / np.sqrt(dim)
-    centers = 0.5 * rng.uniform(-1.0, 1.0, size=(pieces, dim))
-    offsets = rng.uniform(-0.8, -0.2, size=pieces)
+def gen_blackbox_problem(dim: int, rng: np.random.Generator) -> BlackboxComposite:
+    """Three quadratic pieces hinged at -0.5 (``kappa``), plus elastic net ``l1 = l2 = 0.5``."""
+    mats = rng.standard_normal((3, dim, dim)) / np.sqrt(dim)
+    centers = 0.5 * rng.uniform(-1.0, 1.0, size=(3, dim))
+    offsets = rng.uniform(-0.8, -0.2, size=3)
     return BlackboxComposite(
         mats=mats,
         centers=centers,
         offsets=offsets,
-        kappa=kappa,
+        kappa=0.5,
         reg=CompositeRegularizer(l1=0.5, l2=0.5),
     )

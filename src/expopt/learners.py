@@ -18,9 +18,10 @@ matrices alike: the schedule names its :data:`Geometry` (:data:`VECTORS`
 here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  Every
 learner's step, these and the baselines', checks its inputs in one place,
 :func:`_inputs`, and runs under one floating-point guard.  A non-finite
-gradient or hint, an overflow, invalid operation or division by zero in the
-step, or an adaptive scale outside ``(0, inf)`` raises
-:class:`NumericRangeError`, with no ``RuntimeWarning``, before any state changes.
+gradient, hint or regularizer weight, an overflow, invalid operation or
+division by zero in the step, or an adaptive scale outside ``(0, inf)``
+raises :class:`NumericRangeError`, and a negative regularizer weight
+``ValueError``, with no ``RuntimeWarning``, before any state changes.
 """
 
 import math
@@ -170,13 +171,18 @@ def _checked(v, shape, name):
     return v
 
 
-def _inputs(shape, g, h_next):
+def _inputs(shape, g, h_next, reg_weight):
     """A step's gradient and hint (zeros when none) as float arrays of ``shape``.
 
     The one check of every learner's step inputs, made before any state
-    changes: a wrong shape raises ``ValueError``, a non-finite gradient or
-    hint (a quiet NaN trips no guard) :class:`NumericRangeError`.
+    changes: a wrong shape or a negative ``reg_weight`` raises ``ValueError``;
+    a non-finite weight, gradient or hint (a quiet NaN trips no guard)
+    :class:`NumericRangeError`.
     """
+    if not math.isfinite(reg_weight):
+        raise NumericRangeError(f"regularizer weight {reg_weight} is not finite")
+    if reg_weight < 0:
+        raise ValueError(f"regularizer weight {reg_weight} is negative")
     g = _checked(g, shape, "g")
     h = np.zeros(shape) if h_next is None else _checked(h_next, shape, "h_next")
     if not (np.isfinite(g).all() and (h_next is None or np.isfinite(h).all())):
@@ -240,7 +246,7 @@ def omd_step(
     stochastic-acceleration wrapper).
     """
     geo = sched.geometry
-    g, h_next = _inputs(geo.shape(sched), g, h_next)
+    g, h_next = _inputs(geo.shape(sched), g, h_next, reg_weight)
     diff = g - state.h_prev
     sum_sq, p = _round_params(geo, sched, state.sum_sq, diff)
     f = state.factor if state.factor is not None else geo.factor(state.x, sched.beta)
@@ -279,10 +285,12 @@ def ftrl_step(
     ``r_{1:t+1}``, i.e. ``(t + 1)`` under unit weights.
     """
     geo = sched.geometry
-    g, h_next = _inputs(geo.shape(sched), g, h_next)
+    g, h_next = _inputs(geo.shape(sched), g, h_next, reg_weight)
     sum_sq, p = _round_params(geo, sched, state.sum_sq, g - state.h_prev)
     g_accum = state.g_accum + g
     reg_rounds = state.reg_rounds + reg_weight
+    if math.isinf(reg_rounds):  # a sum of Python floats trips no guard
+        raise NumericRangeError("accumulated regularizer weight overflows")
     z = geo.mirror(state.anchor_dual, p) - g_accum - h_next
     x, _ = geo.resolve(z, p, mode, reg_rounds)
     return FtrlState(

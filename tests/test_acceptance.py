@@ -147,7 +147,7 @@ class TestAcceptance:
             f"worst residual {worst:.2e} over {count} instances",
         )
 
-    def test_05_l1_projection_vs_generic_oracle(self):
+    def test_05_l1_projection_vs_generic_oracle(self, l1_ops):
         minimize = pytest.importorskip("scipy.optimize").minimize
         rng = np.random.default_rng(104)
 
@@ -191,21 +191,16 @@ class TestAcceptance:
             worst_coord = max(worst_coord, float(np.max(np.abs(ours - want))))
             worst_feas = max(worst_feas, abs(float(np.sum(np.abs(ours))) - radius))
 
-        ops_small, ops_large = {}, {}
-        xo.l1_ball_project(
-            rng.uniform(-5, 5, 200), xo.BallConstraint(1.0), xo.EntropyParams(1.0, 0.1), ops=ops_small
-        )
-        xo.l1_ball_project(
-            rng.uniform(-5, 5, 20_000), xo.BallConstraint(1.0), xo.EntropyParams(1.0, 0.1), ops=ops_large
-        )
-        ops_ok = ops_small["sorts"] == ops_large["sorts"] == 1 and (
-            ops_small["passes"] == ops_large["passes"]
-        )
+        p = xo.EntropyParams(1.0, 0.1)
+        sorts_small, calls_small = l1_ops(rng.uniform(-5, 5, 200), 1.0, p)
+        sorts_large, calls_large = l1_ops(rng.uniform(-5, 5, 20_000), 1.0, p)
+        ops_ok = sorts_small == sorts_large == 1 and calls_small == calls_large
         report(
             "l1-ball projection vs generic oracle (200 instances, d<=6)",
             worst_coord <= 1e-6 and worst_feas <= 1e-10 and ops_ok,
             f"worst coord err {worst_coord:.2e}, feas gap {worst_feas:.2e}, "
-            f"ops one sort + {ops_small['passes']} passes",
+            f"ops {sorts_small}/{sorts_large} sorts + {calls_small}/{calls_large} numpy calls "
+            "at d=200/20000",
         )
 
     def test_06_nuclear_projection_consistency(self):

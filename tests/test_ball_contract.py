@@ -102,12 +102,16 @@ class TestBallContract:
             project(y, 10.0)
 
 
-def test_l1_ops_count_the_pass_through():
-    ops = {}
-    l1_ball_project(np.array([0.25, -0.5]), BallConstraint(1.0), P, ops=ops)
-    assert ops["sorts"] == 0
-    l1_ball_project(np.array([2.5, -0.5]), BallConstraint(1.0), P, ops=ops)
-    assert ops["sorts"] == 1
+def test_l1_ops_count_the_pass_through(l1_ops):
+    assert l1_ops(np.array([0.25, -0.5]), 1.0, P)[0] == 0
+    assert l1_ops(np.array([2.5, -0.5]), 1.0, P)[0] == 1
+    calls = set()
+    for d in (200, 20_000):
+        y = np.random.default_rng(d).uniform(-5, 5, d)
+        inside, outside = l1_ops(y, 2 * l1_norm(y), P), l1_ops(y, 1.0, P)
+        assert inside[0] == 0 and outside[0] == 1
+        calls.add((inside[1], outside[1]))
+    assert len(calls) == 1  # the same numpy calls at both sizes
 
 
 @pytest.mark.parametrize("radius", [10.0, 0.5])

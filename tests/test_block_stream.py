@@ -17,18 +17,22 @@ import pytest
 from expopt import NumericRangeError, cli
 from expopt.harness import ExperimentSpec, TrialFailure, gen_logistic_stream, run_experiment
 from expopt.harness import registry
-from expopt.harness.streams import BLOCK_BYTES, _sigmoid, logistic_blocks
+from expopt.harness.streams import BLOCK_BYTES, _fixed_order_dot, _sigmoid, logistic_blocks
 
 
 def materialised(dim, horizon, sparsity, seed):
-    """``(w_star, features, labels, comparator losses, rng)``, each drawn in one call."""
+    """``(w_star, features, labels, comparator losses, rng)``, each drawn in one call.
+
+    One row's margin is the fixed-order dot, whose bits do not depend on the
+    BLAS threads; from two rows on, one-thread bits are the reference.
+    """
     rng = np.random.default_rng(seed)
     nnz = int(np.ceil(round((1.0 - sparsity) * dim, 9)))
     w_star = np.zeros(dim)
     support = rng.choice(dim, size=nnz, replace=False)
     w_star[support] = rng.uniform(-1.0, 1.0, size=nnz)
     features = rng.uniform(-1.0, 1.0, size=(horizon, dim))
-    xw = features @ w_star
+    xw = features @ w_star if horizon != 1 else np.array([_fixed_order_dot(features[0], w_star)])
     labels = np.where(rng.random(horizon) < _sigmoid(xw), 1.0, -1.0)
     return w_star, features, labels, np.logaddexp(0.0, -(labels * xw)), rng
 
@@ -73,16 +77,12 @@ def test_a_block_is_a_multiple_of_4_rows_within_the_byte_budget(dim):
 def test_blocks_are_the_materialised_stream_bit_for_bit(pin_blas, dim, blocks, extra):
     horizon = blocks * block_rows(dim) + extra
     seed = dim + horizon
-    expected = {}
+    pin_blas(1)
+    ref = materialised(dim, horizon, 0.99, seed)
     for threads in (1, 2):
         pin_blas(threads)
-        expected[threads] = materialised(dim, horizon, 0.99, seed)
-    for threads in (1, 2):
-        pin_blas(threads)
-        # above 10 000 elements OpenBLAS splits a one-row product (ddot) across
-        # threads, in one call as in a block; from two rows on, the blocks give
-        # the one-thread bits at either thread count (one call may not)
-        ref = expected[threads if horizon == 1 else 1]
+        # the blocks give the reference's bits at either thread count (one call
+        # of two threads may not)
         got = joined(dim, horizon, 0.99, seed)
         for want, have in zip(ref[:4], got[:4]):
             assert want.shape == have.shape

@@ -46,6 +46,23 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["logistic", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_config_that_is_a_json_list_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps([{"kind": "logistic"}]))
+        out = tmp_path / "o.csv"
+        assert main(["logistic", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trials_override_replaces_the_config_trials(self, tmp_path):
+        cfg = small_config(tmp_path, trials=2)
+        out = tmp_path / "o.csv"
+        assert main(["logistic", "--config", str(cfg), "--out", str(out), "--trials", "3"]) == 0
+        meta = json.loads((tmp_path / "o.csv.meta.json").read_text())
+        assert meta["spec"]["trials"] == 3
+        trials = {line.split(",")[2] for line in out.read_text().splitlines()[1:]}
+        assert trials == {"0", "1", "2"}
+
     @pytest.mark.parametrize(
         "overrides,argv,field",
         [
@@ -156,10 +173,10 @@ class TestBlackboxExitCodes:
         real = registry.accelerated_family
         built = []
 
-        def family(name, dim, reg, radius=1.0):
+        def family(name, dim, reg):
             built.append(name)
             if len(built) <= survivors:
-                return real(name, dim, reg, radius)
+                return real(name, dim, reg)
             return Exploding(), rademacher_config
 
         monkeypatch.setattr(registry, "accelerated_family", family)

@@ -24,6 +24,7 @@ from expopt.harness import (
 )
 from expopt.harness import experiments as exp_mod
 from expopt.harness import registry
+from expopt.harness.streams import logistic_blocks
 
 
 class TestLogisticStream:
@@ -275,6 +276,19 @@ class TestOutputs:
         for bad in ["exp_md", ("exp_md", 3), None]:
             with pytest.raises(TypeError, match="algorithms"):
                 ExperimentSpec(**{**base, "algorithms": bad})
+
+    def test_spec_rejects_an_unknown_radius_mode_and_no_algorithms(self):
+        base = dict(kind="logistic", dim=5, horizon=5, trials=1, algorithms=("exp_md",), seed=1)
+        with pytest.raises(ValueError, match="radius_mode"):
+            ExperimentSpec(**{**base, "radius_mode": "quarter"})
+        with pytest.raises(ValueError, match="algorithms"):
+            ExperimentSpec(**{**base, "algorithms": []})
+
+    def test_generators_reject_what_a_spec_rejects(self):
+        with pytest.raises(ValueError, match="sparsity"):
+            logistic_blocks(5, 5, 1.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rank"):
+            gen_multitask_stream(3, 2, 3, 5, np.random.default_rng(0))
 
 
 class TestBlackbox:

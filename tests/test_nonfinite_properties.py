@@ -1,15 +1,18 @@
 """Property: a step on non-finite or extreme input is rejected whole, or it is finite.
 
 Every registered learner is fed gradients and hints drawn from NaN, ±inf,
-±1e308, ±1e-308 and ordinary floats.  Each step must either raise
-:class:`NumericRangeError` and leave ``learner.state`` and ``learner.x`` as
-they were, or return a finite point.  No step runs under a test's own
+±1e308, ±1e-308 and ordinary floats, and a regularizer weight that is mostly
+finite and nonnegative but sometimes NaN, ±inf or negative.  Each step must
+either raise :class:`NumericRangeError` (``ValueError`` for a negative
+weight) and leave ``learner.state`` and ``learner.x`` as they were, or
+return a finite point.  No step runs under a test's own
 ``np.errstate``, so a floating-point warning raised inside ``expopt`` fails
 the test (the project's pytest settings make it an error).
 """
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -45,10 +48,16 @@ def arrays(size):
     return st.lists(entries, min_size=size, max_size=size)
 
 
+# a finite nonnegative weight three times in four
+weights = st.one_of(
+    *[st.floats(0.0, 1e308)] * 3, st.sampled_from([np.nan, np.inf, -np.inf, -1e-308, -1.0])
+)
+
+
 def rounds(size):
-    """Up to four (g, h_next) rounds; a hint is absent a quarter of the time."""
+    """Up to four (g, h_next, reg_weight) rounds; a hint is absent a quarter of the time."""
     hint = st.one_of(st.none(), arrays(size), arrays(size), arrays(size))
-    return st.lists(st.tuples(arrays(size), hint), min_size=1, max_size=4)
+    return st.lists(st.tuples(arrays(size), hint, weights), min_size=1, max_size=4)
 
 
 def same(a, b) -> bool:
@@ -71,16 +80,20 @@ def same(a, b) -> bool:
 def test_step_rejects_whole_or_returns_finite(family, name, data):
     learner = build(family, name)
     shape = learner.x.shape
-    for k, (g, h) in enumerate(data.draw(rounds(int(np.prod(shape))))):
+    for g, h, weight in data.draw(rounds(int(np.prod(shape)))):
         g = np.reshape(g, shape)
         h = None if h is None else np.reshape(h, shape)
         state, x = copy.deepcopy(learner.state), learner.x.copy()
-        weight = float(k + 2) if family == "accelerated" else 1.0
+        bad_weight = (
+            NumericRangeError if not math.isfinite(weight) else ValueError if weight < 0 else None
+        )
         try:
             out = learner.step(g, h_next=h, reg_weight=weight)
-        except NumericRangeError:
+        except (NumericRangeError, ValueError) as err:
+            assert type(err) is (bad_weight or NumericRangeError)
             assert same(learner.state, state)
             assert same(learner.x, x)
         else:
+            assert bad_weight is None
             assert np.isfinite(out).all()
             assert out is learner.x or np.array_equal(out, learner.x)

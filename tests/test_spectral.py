@@ -231,3 +231,8 @@ class TestSpectralLearners:
         s = SpectralSchedule(7, 4, radius=3.0)
         assert s.beta == pytest.approx(0.25)
         assert s.eta == pytest.approx(math.sqrt(1.0 / (math.log(4.0) + math.log(4))))
+
+    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0)])
+    def test_schedule_rejects_an_empty_dimension(self, m, n):
+        with pytest.raises(ValueError, match="dimensions"):
+            SpectralSchedule(m, n, 1.0)

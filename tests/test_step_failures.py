@@ -510,3 +510,13 @@ def test_a_callers_underflow_setting_does_not_reach_a_step():
     with np.errstate(under="raise"):
         got = learner.step(np.full(5, 0.1), h_next=h)
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["acc_exp_ftrl", "acc_adaftrl"])
+def test_an_accumulated_reg_weight_that_overflows_is_a_numeric_error(name):
+    learner, _ = registry.accelerated_family(name, 4, CompositeRegularizer(l1=0.1, l2=0.1))
+    learner.step(np.ones(4), reg_weight=1e308)
+    state = learner.state
+    with pytest.raises(NumericRangeError):
+        learner.step(np.ones(4), reg_weight=1e308)
+    assert learner.state is state
