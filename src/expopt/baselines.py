@@ -7,7 +7,8 @@ first step is already sensibly scaled) and preconditions by ``1/sqrt(h)``.
 Ball-mode feasibility uses an exact weighted-Euclidean projection onto the
 l1 ball: a scan of the sorted breakpoints of its dual variable, which at
 large dimension first discards coordinates that a cheap lower bound on the
-threshold proves inactive.
+threshold proves inactive.  Both also take stacks of rows ``(rows, d)``, each
+row bit for bit as alone, so that one call does the numpy work of many runs.
 
 The signed multiplicative-weights learner maintains 2d nonnegative weights
 of total mass D; its decision is the difference of the positive and
@@ -49,7 +50,8 @@ _FILTER_SHARE = 16
 
 @dataclass(frozen=True)
 class DiagProxState:
-    """Diagonal learner state shared by the descent and leader variants."""
+    """Diagonal learner state shared by the descent and leader variants; arrays of
+    shape ``(rows, d)`` stack runs that share ``round`` and ``reg_rounds``."""
 
     h_diag: np.ndarray
     g_accum: np.ndarray
@@ -72,25 +74,32 @@ def diag_init(dim: int, x1=None) -> DiagProxState:
     )
 
 
-def _breakpoint_threshold(abs_y, w, radius: float) -> float:
-    """Exact threshold ``tau`` from a scan of the sorted breakpoints.
+def _breakpoint_threshold(abs_y, w, radius):
+    """Exact threshold ``tau``, ``(1,)`` or ``(rows, 1)``, from a scan of the sorted breakpoints.
 
-    ``abs_y`` and ``w`` may omit coordinates whose breakpoint lies at or
-    below the threshold: the suffix sums run from the largest breakpoint
-    down, so the result is the same as on the full arrays.
+    ``abs_y`` and ``w`` are one row ``(n,)`` or rows ``(rows, n)``, ``radius`` a float or
+    ``(rows, 1)``; each row is sorted and summed alone.  They may omit coordinates whose
+    breakpoint lies at or below the threshold: the suffix sums run from the largest down.
     """
     breaks = w * abs_y
-    order = np.argsort(breaks)
-    ts = breaks[order]
-    # suffix sums over the candidate active sets {j, ..., d-1}
-    suf_ay = np.cumsum(abs_y[order][::-1])[::-1]
-    suf_iw = np.cumsum((1.0 / w[order])[::-1])[::-1]
+    n = breaks.shape[-1]
+    # each row's first position in the flattened stack, for ``.take``
+    starts = np.arange(0, breaks.size, n)[:, None] if breaks.ndim > 1 else 0
+    order = breaks.argsort(axis=-1)
+    order += starts
+    ts = breaks.take(order)
+    # sums from the largest breakpoint down; read backwards, the suffix sums
+    # over the candidate active sets {j, ..., n-1}
+    top_ay = abs_y.take(order)[..., ::-1].cumsum(axis=-1)
+    top_iw = (1.0 / w.take(order))[..., ::-1].cumsum(axis=-1)
+    suf_ay, suf_iw = top_ay[..., ::-1], top_iw[..., ::-1]
     # remaining mass when tau reaches the j-th breakpoint
     mass_at = np.empty_like(ts)
-    mass_at[:-1] = suf_ay[1:] - ts[:-1] * suf_iw[1:]
-    mass_at[-1] = 0.0
-    j = int(np.argmax(mass_at <= radius))  # first segment whose mass drops below radius
-    return (suf_ay[j] - radius) / suf_iw[j]
+    mass_at[..., :-1] = suf_ay[..., 1:] - ts[..., :-1] * suf_iw[..., 1:]
+    mass_at[..., -1] = 0.0
+    # the first segment whose mass drops below radius, as a position in top_*
+    j = starts + (n - 1) - (mass_at <= radius).argmax(axis=-1, keepdims=True)
+    return (top_ay.take(j) - radius) / top_iw.take(j)
 
 
 def _threshold_candidates(abs_y, w, radius: float):
@@ -114,7 +123,7 @@ def _threshold_candidates(abs_y, w, radius: float):
 
 
 @_range_guard()
-def weighted_l1_ball_project(y, weights, radius: float):
+def weighted_l1_ball_project(y, weights, radius):
     """Projection of ``y`` onto the l1 ball in the ``diag(weights)`` metric.
 
     Minimizes ``sum_i w_i * (x_i - y_i)^2`` subject to ``||x||_1 <= radius``.
@@ -126,6 +135,9 @@ def weighted_l1_ball_project(y, weights, radius: float):
     on ``tau`` are sorted (:func:`_threshold_candidates`), with the same
     result.
 
+    A stack ``y`` of ``(rows, d)``, with ``weights`` alike and ``radius`` a float or one
+    per row ``(rows, 1)``, projects each row onto its ball, bit for bit as that row alone.
+
     Raises :class:`NumericRangeError` when ``y`` has a NaN or infinite
     coordinate, which the feasibility test's own sum shows, or when the guard
     trips (that sum overflows, say).
@@ -133,13 +145,23 @@ def weighted_l1_ball_project(y, weights, radius: float):
     y = np.asarray(y, dtype=float)
     w = np.asarray(weights, dtype=float)
     abs_y = np.abs(y)
-    norm = float(np.sum(abs_y))
-    if norm <= radius:
+    norm = abs_y.sum(axis=-1, keepdims=True)
+    inside = norm <= radius
+    if inside.all():
         return y.copy()
-    if not math.isfinite(norm):
+    if not np.isfinite(norm).all():
         raise NumericRangeError("weighted l1-ball projection needs a finite l1 norm")
 
-    if y.size < _FILTER_MIN_DIM:
+    if y.ndim > 1 and y.shape[-1] >= _FILTER_MIN_DIM:  # filtered one row at a time
+        out, radii = y.copy(), np.broadcast_to(radius, norm.shape)
+        for i in np.flatnonzero(~inside):
+            out[i] = weighted_l1_ball_project(y[i], w[i], radii[i, 0])
+        return out
+    if inside.any():  # the rows that project, as a stack; the others keep their points
+        out, p = y.copy(), ~inside[:, 0]
+        out[p] = weighted_l1_ball_project(y[p], w[p], np.broadcast_to(radius, norm.shape)[p])
+        return out
+    if y.shape[-1] < _FILTER_MIN_DIM:
         tau = _breakpoint_threshold(abs_y, w, radius)
         return np.sign(y) * np.maximum(abs_y - tau / w, 0.0)
     idx = _threshold_candidates(abs_y, w, radius)
@@ -161,29 +183,46 @@ def euclidean_nuclear_ball_project(y, radius: float):
     )
 
 
+@dataclass(frozen=True)
+class _RowBalls(BallConstraint):
+    """The l1 balls of a stacked diagonal state, one radius per row: shape ``(rows, 1)``."""
+
+    def __post_init__(self):
+        if not np.all((0 < self.radius) & (self.radius < math.inf)):
+            raise ValueError("ball radius must be positive and finite")
+
+
 @_range_guard()
-def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader: bool):
+def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader):
     """One diagonal round; ``leader`` selects the accumulated-gradient target.
 
     ``target`` is the round's minimizer without a mode; ball mode projects it
     in the ``diag(h_sqrt)`` metric, elastic net soft-thresholds ``target * h_sqrt``.
+
+    A stacked state steps each row bit for bit as alone; ``leader`` is then one flag per
+    row, ``(rows, 1)``, and a ball mode a :class:`_RowBalls`.
     """
     g, h_next = _inputs(state.x.shape, g, h_next, reg_weight)
     diff = g - state.h_prev
     h_diag = state.h_diag + diff * diff
     h_sqrt = np.sqrt(h_diag)
     g_accum = state.g_accum + g
-    if leader:
-        target = -(g_accum + h_next) / h_sqrt
+    stacked = isinstance(leader, np.ndarray)  # one flag per row
+    if stacked:
+        base, num = np.where(leader, -0.0, state.x), np.where(leader, g_accum, diff)
     else:
-        target = state.x - (diff + h_next) / h_sqrt
+        base, num = (-0.0, g_accum) if leader else (state.x, diff)
+    # a leader's -0.0 - (g_accum + h_next) / h_sqrt has the bits of
+    # -(g_accum + h_next) / h_sqrt, signed zeros included
+    target = base - (num + h_next) / h_sqrt
     reg_rounds = state.reg_rounds + reg_weight
     if math.isinf(reg_rounds):  # a sum of Python floats trips no guard
         raise NumericRangeError("accumulated regularizer weight overflows")
-    weight = reg_rounds if leader else reg_weight
     if isinstance(mode, BallConstraint):
         x = weighted_l1_ball_project(target, h_sqrt, mode.radius)
     elif isinstance(mode, CompositeRegularizer):
+        weight = np.where(leader, reg_rounds, reg_weight) if stacked else (
+            reg_rounds if leader else reg_weight)
         q = target * h_sqrt
         x = np.sign(q) * np.maximum(np.abs(q) - mode.l1 * weight, 0.0) / (h_sqrt + mode.l2 * weight)
     elif mode is None:
@@ -281,17 +320,19 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
 
 
 class AdaGrad(Learner):
-    """Stateful diagonal mirror-descent baseline."""
+    """Stateful diagonal mirror-descent baseline on its feasibility ``mode``."""
 
     def __init__(self, dim: int, mode: FeasibleMode = None, x1=None):
+        self.mode = mode
         state = diag_init(dim, x1)
         super().__init__(state, state.x, lambda s, g, h, w: adagrad_step(s, g, mode, h, w))
 
 
 class AdaFtrl(Learner):
-    """Stateful diagonal leader-following baseline."""
+    """Stateful diagonal leader-following baseline on its feasibility ``mode``."""
 
     def __init__(self, dim: int, mode: FeasibleMode = None, x1=None):
+        self.mode = mode
         state = diag_init(dim, x1)
         super().__init__(state, state.x, lambda s, g, h, w: adaftrl_step(s, g, mode, h, w))
 

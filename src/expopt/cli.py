@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=f"{kind}_results.csv", help="output CSV path")
         cmd.add_argument("--seed", type=int, help="override the spec seed")
         cmd.add_argument("--trials", type=int, help="override the trial count")
-        cmd.add_argument("--threads", type=int, default=1, help="ignored: trials run sequentially")
+        cmd.add_argument("--threads", type=int, default=1, help="ignored: runs use one thread")
     sub.add_parser("props", help="run the property suites")
     return parser
 

@@ -1,12 +1,12 @@
 """Experiment orchestration, regret accounting, and CSV/metadata output.
 
 Every trial draws its own child of ``SeedSequence(seed)`` and generates its
-data block by block: its algorithms advance together, each playing a block of
-rounds before the next is drawn.  A logistic block holds up to
-``streams.BLOCK_BYTES`` of features, so memory per trial is O(block * dim),
-and a side-effecting oracle sees the algorithms interleaved by block once the
-horizon exceeds one (a multitask or blackbox trial is one block).  Rows are
-sorted by (algorithm, trial, round), floats written in their shortest
+data block by block.  All runs of all trials of a logistic spec advance
+together, a block of rounds at a time; the trials share ``streams.BLOCK_BYTES``
+of features, and the AdaGrad and AdaFtrl runs step as the rows of stacked
+states, each row bit for bit as alone.  A multitask or blackbox trial is one
+block, trial after trial.  A side-effecting oracle sees the runs interleaved.
+Rows are sorted by (algorithm, trial, round), floats written in their shortest
 round-trip form, so equal configurations give byte-identical CSV files.  A
 numeric error, or a non-finite loss, regret or objective, ends that
 algorithm's trial with a :class:`TrialFailure` at the round, with no row.
@@ -22,7 +22,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..accelerate import Accelerator
+from ..baselines import AdaFtrl, AdaGrad, DiagProxState, _diag_step, _RowBalls
 from ..entropy import NumericRangeError
+from ..learners import Learner
 from ..zeroth_order import default_smoothing, two_point_grad_rows
 from . import registry, streams
 
@@ -49,6 +51,9 @@ KINDS = {
 RADIUS_FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 
 _NUMERIC_ERRORS = (NumericRangeError, FloatingPointError, np.linalg.LinAlgError)
+# bytes of one stacked array of diagonal runs: 8 rows at d=500, 1 from d=4000 up
+_STACK_BYTES = 32_000
+_ROWS = ("h_diag", "g_accum", "x", "h_prev")  # the fields with one row per stacked run
 _INTEGER_FIELDS = ("dim", "horizon", "trials", "tasks", "rank", "seed")
 
 
@@ -150,6 +155,54 @@ def _regrets(learner, oracle, rounds):
         yield cum
 
 
+def _stack(learners) -> Learner:
+    """AdaGrad and AdaFtrl learners that started together, as one learner with their rows."""
+    state = DiagProxState(
+        *[np.stack([getattr(lrn.state, f) for lrn in learners]) for f in _ROWS],
+        learners[0].state.round, learners[0].state.reg_rounds,
+    )
+    balls = _RowBalls(np.array([[lrn.mode.radius] for lrn in learners]))
+    leader = np.array([[isinstance(lrn, AdaFtrl)] for lrn in learners])
+    return Learner(state, state.x, lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader))
+
+
+def _stacked_regrets(learners, oracle, *rounds):
+    """:func:`_regrets` of learners stepped as one :func:`_stack`, one round iterator each:
+    per round, each running learner's regret or the error that ends it.  A stacked step that
+    raises is replayed row by row through each learner's own ``step``, as the row alone."""
+    live, cums, stack = list(range(len(learners))), [0.0] * len(learners), _stack(learners)
+    while live:
+        values, grads = [], []
+        for i, w in zip(live, stack.x):
+            x, y, comp_loss = next(rounds[i])
+            loss, grad = oracle(w, x, y)
+            cums[i] += loss - comp_loss
+            finite = math.isfinite(cums[i])
+            values.append(cums[i] if finite else NumericRangeError(
+                f"cumulative regret is not finite ({cums[i]})"))
+            grads.append(grad if finite else None)
+        stepped = all(grad is not None for grad in grads)
+        if stepped:
+            try:
+                stack.step(np.array(grads))
+            except _NUMERIC_ERRORS:
+                stepped = False
+        if not stepped:  # each row alone, through its learner
+            st = stack.state
+            for j, (i, grad) in enumerate(zip(live, grads)):
+                learners[i].state = DiagProxState(
+                    *[getattr(st, f)[j] for f in _ROWS], st.round, st.reg_rounds
+                )
+                try:
+                    if grad is not None:
+                        learners[i].step(grad)
+                except _NUMERIC_ERRORS as exc:
+                    values[j] = exc
+            live = [i for i, value in zip(live, values) if not isinstance(value, Exception)]
+            stack = _stack([learners[i] for i in live]) if live else None
+        yield values
+
+
 def _objectives(name, batch, spec, problem, seed_seq, rounds):
     """Objective value at the accelerated learner's averaged point, each round."""
     rng = np.random.default_rng(seed_seq)
@@ -165,65 +218,108 @@ def _objectives(name, batch, spec, problem, seed_seq, rounds):
         yield value
 
 
-def _collect(kind, trial, runs, blocks):
-    """Each run's ``(label, trial, records, failure)``, all runs advancing block by block."""
-    held = [None]
+def _collect(kind, groups, blocks):
+    """Each run's ``[label, trial, records, failure]``, the groups advancing block by block.
 
-    def rounds():  # a run reads each block (a tuple of columns) when it reaches it
+    A group ``(runs, play)`` names its runs' ``(label, trial)``; ``play(*rounds)`` is a lone
+    run's values, which raise to end, or a :func:`_stacked_regrets`.  ``blocks`` maps each
+    trial to its equal-sized blocks, the next drawn when the first group reading it plays it.
+    """
+    held, results, going = {}, [], []
+
+    def rounds_of(trial):  # a run reads each block when it reaches it
         while True:
-            yield from zip(*held[0])
+            yield from zip(*held[trial])
 
-    results = [(label, run(rounds()), []) for label, run in runs]
-    failures = {}
-    for block in blocks:
-        held[0] = block
-        for label, values, records in results:  # a run that raised yields no more
+    def end(rows, row, exc):
+        row[3] = TrialFailure(row[0], row[1], len(row[2]) + 1, str(exc))
+        rows.remove(row)
+
+    for runs, play in groups:
+        rows = [[label, trial, [], None] for label, trial in runs]
+        results += rows
+        outcomes = play(*[rounds_of(t) for _, t in runs])
+        going.append((rows, {t for _, t in runs}, len(runs) > 1, outcomes))
+    while True:
+        drawn = set()
+        for rows, trials, stacked, outcomes in going:  # a run that ended has no more values
+            for trial in trials - drawn:
+                held[trial] = next(blocks[trial], None)
+            drawn |= trials
+            block = held[min(trials)]
+            if block is None:
+                return results
             try:
-                for value in itertools.islice(values, len(block[0])):
-                    records.append(RegretRecord(kind, label, trial, len(records) + 1, float(value)))
-            except _NUMERIC_ERRORS as exc:
-                failures[label] = TrialFailure(label, trial, len(records) + 1, str(exc))
-    return [(label, trial, records, failures.get(label)) for label, _, records in results]
+                for outcome in itertools.islice(outcomes, len(block[0])):
+                    for row, value in zip(list(rows), outcome if stacked else [outcome]):
+                        if isinstance(value, Exception):
+                            end(rows, row, value)
+                        else:
+                            row[2].append(
+                                RegretRecord(kind, row[0], row[1], len(row[2]) + 1, float(value))
+                            )
+            except _NUMERIC_ERRORS as exc:  # a generator that raises ends its runs
+                for row in list(rows):
+                    end(rows, row, exc)
 
 
-def _run_trial(spec: ExperimentSpec, trial: int, seed_seq) -> list:
-    """The trial's results; its runs advance together, one block of rounds at a time."""
-    rng = np.random.default_rng(seed_seq)
-    if spec.kind == "blackbox":
-        problem = streams.gen_blackbox_problem(spec.dim, rng)
-        sqrt_batch = max(int(math.isqrt(max(spec.horizon, 1))), 1)
-        variants = [(f"{name}@b1", name, 1) for name in spec.algorithms]
-        variants += [(f"{name}@bsqrtT", name, sqrt_batch) for name in spec.algorithms]
-        children = seed_seq.spawn(len(variants))
-        runs = [
-            (label, functools.partial(_objectives, name, batch, spec, problem, child))
-            for (label, name, batch), child in zip(variants, children)
-        ]
-        return _collect(spec.kind, trial, runs, [(range(spec.horizon),)])
-    if spec.kind == "logistic":
-        shape = (spec.dim,)
-        w_star, blocks = streams.logistic_blocks(spec.dim, spec.horizon, spec.sparsity, rng)
-        radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(np.abs(w_star)))
-        build, oracle = registry.build_vector_learner, streams.logistic_loss_grad
-    else:
-        shape = (spec.dim, spec.tasks)
-        stream = streams.gen_multitask_stream(*shape, spec.rank, spec.horizon, rng)
-        radius = RADIUS_FACTORS[spec.radius_mode] * float(np.sum(stream.singular_values))
-        margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
-        comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
-        blocks = [(stream.features, stream.labels, comp_losses)]
-        build, oracle = registry.build_matrix_learner, streams.multitask_loss_grad
-    radius = radius if radius > 0 else 1.0  # degenerate all-zero truth
-    runs = [
-        (name, functools.partial(_regrets, build(name, *shape, radius), oracle))
-        for name in spec.algorithms
-    ]
-    return _collect(spec.kind, trial, runs, blocks)
+def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
+    """The results of the trials ``{trial: seed sequence}``, advancing together block by block.
+
+    Logistic trials share ``streams.BLOCK_BYTES``, and unwrapped AdaGrad and AdaFtrl runs, in
+    order, step in stacks of up to ``_STACK_BYTES`` an array; other runs step alone.
+    """
+    runs, groups, blocks = [], [], {}
+    for trial, seed_seq in seeds.items():
+        rng = np.random.default_rng(seed_seq)
+        if spec.kind == "blackbox":
+            problem = streams.gen_blackbox_problem(spec.dim, rng)
+            sqrt_batch = max(int(math.isqrt(max(spec.horizon, 1))), 1)
+            variants = [(f"{name}@b1", name, 1) for name in spec.algorithms]
+            variants += [(f"{name}@bsqrtT", name, sqrt_batch) for name in spec.algorithms]
+            children = seed_seq.spawn(len(variants))
+            groups += [
+                ([(label, trial)], functools.partial(_objectives, name, batch, spec, problem, seq))
+                for (label, name, batch), seq in zip(variants, children)
+            ]
+            blocks[trial] = iter([(range(spec.horizon),)])
+            continue
+        if spec.kind == "logistic":
+            w_star, blocks[trial] = streams.logistic_blocks(
+                spec.dim, spec.horizon, spec.sparsity, rng, streams.BLOCK_BYTES // len(seeds)
+            )
+            radius, shape = float(np.sum(np.abs(w_star))), (spec.dim,)
+            build, oracle = registry.build_vector_learner, streams.logistic_loss_grad
+        else:
+            shape = (spec.dim, spec.tasks)
+            stream = streams.gen_multitask_stream(*shape, spec.rank, spec.horizon, rng)
+            margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
+            comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
+            blocks[trial] = iter([(stream.features, stream.labels, comp_losses)])
+            radius = float(np.sum(stream.singular_values))
+            build, oracle = registry.build_matrix_learner, streams.multitask_loss_grad
+        radius *= RADIUS_FACTORS[spec.radius_mode]  # 0 for an all-zero truth
+        runs += [(name, trial, build(name, *shape, radius or 1.0)) for name in spec.algorithms]
+    size = max(1, _STACK_BYTES // (8 * spec.dim))
+    # the registry's own AdaGrad and AdaFtrl, with their class's step, can be rows of a stack
+    diagonal = [r for r in runs if type(r[2]) in (AdaGrad, AdaFtrl) and "step" not in vars(r[2])]
+    stacks = {diagonal[k][:2]: diagonal[k : k + size] for k in range(0, len(diagonal), size)}
+    stackable = {run[:2] for run in diagonal}
+    for label, trial, learner in runs:  # a stack plays where its first row's run would
+        stack = stacks.get((label, trial), [])
+        if len(stack) > 1:
+            play = functools.partial(_stacked_regrets, [lrn for *_, lrn in stack], oracle)
+            groups.append(([run[:2] for run in stack], play))
+        elif stack or (label, trial) not in stackable:
+            groups.append(([(label, trial)], functools.partial(_regrets, learner, oracle)))
+    return _collect(spec.kind, groups, blocks)
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
-    """Run all trials in turn; returns (records, failures) in canonical order.
+    """Run all trials; returns (records, failures) in canonical order.
 
+    The trials of a logistic spec advance together, sharing ``streams.BLOCK_BYTES``;
+    multitask and blackbox trials run one after another.
     An algorithm name the kind does not know raises ``KeyError`` up front.
     ``threads`` has no effect; the interpreter-bound trials ran slower on a
     thread pool.
@@ -231,8 +327,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     for name in spec.algorithms:
         if name not in KINDS[spec.kind]:
             raise KeyError(f"unknown {spec.kind} algorithm {name!r}")
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.trials)
-    runs = [run for i in range(spec.trials) for run in _run_trial(spec, i, seeds[i])]
+    seeds = dict(enumerate(np.random.SeedSequence(spec.seed).spawn(spec.trials)))
+    parts = [seeds] if spec.kind == "logistic" else [{t: s} for t, s in seeds.items()]
+    runs = [run for part in parts for run in _run_trials(spec, part)]
     # each run's rows are in round order, so sorting the runs sorts the rows
     runs.sort(key=lambda run: run[:2])
     records = [r for _, _, recs, _ in runs for r in recs]

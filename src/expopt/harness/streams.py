@@ -60,19 +60,23 @@ class LogisticStream:
     labels: np.ndarray  # (horizon,), values in {-1, +1}
 
 
-# Feature bytes per logistic block: 16 rows at d=20000, 640 at d=500.  The runs
-# switch learners at each block, which cost 8% of d=500 throughput at 16 rows.
+# Feature bytes of the logistic blocks a spec holds at once, shared by its trials,
+# which advance together: 16 rows at d=20000 and 640 at d=500 for one trial, 8 and
+# 320 rows each for two.  The runs switch learners at each block, which cost 8% of
+# d=500 throughput at 16 rows.
 BLOCK_BYTES = 2_560_000
 
 
-def logistic_blocks(dim: int, horizon: int, sparsity: float, rng: np.random.Generator):
+def logistic_blocks(
+    dim: int, horizon: int, sparsity: float, rng: np.random.Generator, budget: int = BLOCK_BYTES
+):
     """``(w_star, blocks)``: :func:`gen_logistic_stream` drawn a block of rows at a time.
 
     ``blocks`` yields ``(features, labels, w_star's losses)``, bit for bit: labels come from a
     copy of ``rng`` advanced past the ``horizon * dim`` feature draws.  A block is the most rows
-    within ``BLOCK_BYTES``, a multiple of 4 and at least 4: OpenBLAS's gemv groups rows by 4 and
-    takes ddot for one row, so a lone last row joins the block before it, and the one row of a
-    horizon-1 stream takes :func:`_fixed_order_dot`.
+    within ``budget`` bytes of features, a multiple of 4 and at least 4: OpenBLAS's gemv groups
+    rows by 4 and takes ddot for one row, so a lone last row joins the block before it, and the
+    one row of a horizon-1 stream takes :func:`_fixed_order_dot`.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError("sparsity must lie in [0, 1]")
@@ -84,7 +88,7 @@ def logistic_blocks(dim: int, horizon: int, sparsity: float, rng: np.random.Gene
         w_star[support] = rng.uniform(-1.0, 1.0, size=nnz)
     label_rng = copy.deepcopy(rng)
     label_rng.bit_generator.advance(horizon * dim)
-    rows = 4 * max(BLOCK_BYTES // (32 * dim), 1)
+    rows = 4 * max(budget // (32 * dim), 1)
     stops = [*range(rows, horizon - 1, rows), horizon]  # one block, empty, at horizon 0
 
     def blocks():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from expopt import BallConstraint, prox
+from expopt import BallConstraint, cli, prox
 
 _NUMPY_DIR = os.path.dirname(np.__file__)
 _L1_PROJECTION = inspect.unwrap(prox.l1_ball_project).__code__
@@ -60,3 +60,15 @@ def l1_ops(monkeypatch):
         return len(sorts), _numpy_calls(lambda: prox.l1_ball_project(y, ball, p))
 
     return ops
+
+
+@pytest.fixture
+def pin_blas():
+    """``set_(threads)`` pins OpenBLAS's thread count; the count is restored afterwards."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS loaded")
+    _, get, set_ = blas
+    before = get()
+    yield set_
+    set_(before)

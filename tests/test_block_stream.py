@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expopt import NumericRangeError, cli
+from expopt import NumericRangeError
 from expopt.harness import ExperimentSpec, TrialFailure, gen_logistic_stream, run_experiment
 from expopt.harness import registry
 from expopt.harness.streams import BLOCK_BYTES, _fixed_order_dot, _sigmoid, logistic_blocks
@@ -50,17 +50,6 @@ def joined(dim, horizon, sparsity, seed):
     blocks = list(blocks)
     assert all(len(x) % 4 == 0 for x, _, _ in blocks[:-1])
     return (w_star, *(np.concatenate(column) for column in zip(*blocks)))
-
-
-@pytest.fixture
-def pin_blas():
-    blas = cli._openblas()
-    if blas is None:
-        pytest.skip("no OpenBLAS loaded")
-    _, get, set_ = blas
-    before = get()
-    yield set_
-    set_(before)
 
 
 @pytest.mark.parametrize("dim", [5, 2000, 20_000])
@@ -114,6 +103,21 @@ def test_a_logistic_run_holds_blocks_not_the_stream():
         tracemalloc.stop()
     assert len(records) == horizon and not failures
     # the feature matrix alone would take horizon * dim * 8 bytes
+    assert peak < horizon * dim * 8 / 8
+
+
+def test_the_trials_of_a_logistic_run_share_the_block_budget():
+    dim, horizon, trials = 20_000, 400, 4
+    spec = ExperimentSpec(kind="logistic", dim=dim, horizon=horizon, trials=trials,
+                          algorithms=("exp_md",), seed=7)
+    tracemalloc.start()
+    try:
+        records, failures = run_experiment(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == trials * horizon and not failures
+    # the bound of one trial: the trials advance together on one budget of blocks
     assert peak < horizon * dim * 8 / 8
 
 
