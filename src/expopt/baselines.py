@@ -172,14 +172,15 @@ def weighted_l1_ball_project(y, weights, radius):
     return out
 
 
-def euclidean_nuclear_ball_project(y, radius: float):
+def euclidean_nuclear_ball_project(y, radius):
     """Frobenius-metric projection of a matrix onto the nuclear ball.
 
     Factors once and projects the singular values onto the simplex-style
-    l1 ball (unit weights).
+    l1 ball (unit weights).  A stack ``(rows, m, n)`` with a float or one
+    radius per row ``(rows, 1)`` projects each matrix bit for bit as alone.
     """
     return _project_spectrum(
-        y, radius, lambda s: weighted_l1_ball_project(s, np.ones_like(s), radius)
+        y, radius, lambda s, r: weighted_l1_ball_project(s, np.ones_like(s), r)
     )
 
 
@@ -322,6 +323,8 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
 class AdaGrad(Learner):
     """Stateful diagonal mirror-descent baseline on its feasibility ``mode``."""
 
+    leader = False
+
     def __init__(self, dim: int, mode: FeasibleMode = None, x1=None):
         self.mode = mode
         state = diag_init(dim, x1)
@@ -330,6 +333,8 @@ class AdaGrad(Learner):
 
 class AdaFtrl(Learner):
     """Stateful diagonal leader-following baseline on its feasibility ``mode``."""
+
+    leader = True
 
     def __init__(self, dim: int, mode: FeasibleMode = None, x1=None):
         self.mode = mode

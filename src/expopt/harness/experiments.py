@@ -1,11 +1,11 @@
 """Experiment orchestration, regret accounting, and CSV/metadata output.
 
 Every trial draws its own child of ``SeedSequence(seed)`` and generates its
-data block by block.  All runs of all trials of a logistic spec advance
-together, a block of rounds at a time; the trials share ``streams.BLOCK_BYTES``
-of features, and the AdaGrad and AdaFtrl runs step as the rows of stacked
-states, each row bit for bit as alone.  A multitask or blackbox trial is one
-block, trial after trial.  A side-effecting oracle sees the runs interleaved.
+data block by block.  All runs of all trials of a spec advance together, a
+block of rounds at a time; the trials share ``streams.BLOCK_BYTES`` of
+features, and the AdaGrad and AdaFtrl runs, vector or matrix, step as the rows
+of stacked states, each row bit for bit as alone.  A blackbox trial is one
+block.  A side-effecting oracle sees the runs interleaved.
 Rows are sorted by (algorithm, trial, round), floats written in their shortest
 round-trip form, so equal configurations give byte-identical CSV files.  A
 numeric error, or a non-finite loss, regret or objective, ends that
@@ -51,9 +51,10 @@ KINDS = {
 RADIUS_FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 
 _NUMERIC_ERRORS = (NumericRangeError, FloatingPointError, np.linalg.LinAlgError)
-# bytes of one stacked array of diagonal runs: 8 rows at d=500, 1 from d=4000 up
+# bytes of one stacked array of diagonal runs: 8 rows at d=500, 1 from d=4000 up, 40 at 20x5
 _STACK_BYTES = 32_000
 _ROWS = ("h_diag", "g_accum", "x", "h_prev")  # the fields with one row per stacked run
+_STACKABLE = (AdaGrad, AdaFtrl, registry._DiagNuclear)
 _INTEGER_FIELDS = ("dim", "horizon", "trials", "tasks", "rank", "seed")
 
 
@@ -156,14 +157,19 @@ def _regrets(learner, oracle, rounds):
 
 
 def _stack(learners) -> Learner:
-    """AdaGrad and AdaFtrl learners that started together, as one learner with their rows."""
+    """Diagonal learners that started together, AdaGrad and AdaFtrl or the registry's matrix
+    ones, as one learner with their rows."""
     state = DiagProxState(
         *[np.stack([getattr(lrn.state, f) for lrn in learners]) for f in _ROWS],
         learners[0].state.round, learners[0].state.reg_rounds,
     )
-    balls = _RowBalls(np.array([[lrn.mode.radius] for lrn in learners]))
-    leader = np.array([[isinstance(lrn, AdaFtrl)] for lrn in learners])
-    return Learner(state, state.x, lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader))
+    radii = np.array([[lrn.mode.radius] for lrn in learners])
+    leader = np.array([[lrn.leader] for lrn in learners])
+    x = np.stack([lrn.x for lrn in learners])
+    if isinstance(learners[0], registry._DiagNuclear):
+        return Learner(state, x, registry._nuclear_rows(*x.shape[1:], radii, leader))
+    balls = _RowBalls(radii)
+    return Learner(state, x, lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader))
 
 
 def _stacked_regrets(learners, oracle, *rounds):
@@ -266,10 +272,12 @@ def _collect(kind, groups, blocks):
 def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
     """The results of the trials ``{trial: seed sequence}``, advancing together block by block.
 
-    Logistic trials share ``streams.BLOCK_BYTES``, and unwrapped AdaGrad and AdaFtrl runs, in
-    order, step in stacks of up to ``_STACK_BYTES`` an array; other runs step alone.
+    The trials share ``streams.BLOCK_BYTES`` of data, multitask ones at most a quarter of one
+    trial's stream.  The registry's unwrapped AdaGrad and AdaFtrl runs, in order, step in
+    stacks of up to ``_STACK_BYTES`` an array; other runs step alone.
     """
     runs, groups, blocks = [], [], {}
+    budget = streams.BLOCK_BYTES // len(seeds)
     for trial, seed_seq in seeds.items():
         rng = np.random.default_rng(seed_seq)
         if spec.kind == "blackbox":
@@ -286,23 +294,26 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
             continue
         if spec.kind == "logistic":
             w_star, blocks[trial] = streams.logistic_blocks(
-                spec.dim, spec.horizon, spec.sparsity, rng, streams.BLOCK_BYTES // len(seeds)
+                spec.dim, spec.horizon, spec.sparsity, rng, budget
             )
             radius, shape = float(np.sum(np.abs(w_star))), (spec.dim,)
             build, oracle = registry.build_vector_learner, streams.logistic_loss_grad
         else:
             shape = (spec.dim, spec.tasks)
-            stream = streams.gen_multitask_stream(*shape, spec.rank, spec.horizon, rng)
-            margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
-            comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
-            blocks[trial] = iter([(stream.features, stream.labels, comp_losses)])
-            radius = float(np.sum(stream.singular_values))
+            # a quarter of one trial's 8*T*d*k bytes: the trials, each holding two blocks as
+            # it draws the next, stay within half of one whole stream
+            quarter = 2 * spec.horizon * spec.dim * spec.tasks // len(seeds)
+            _, sigma, blocks[trial] = streams.multitask_blocks(
+                *shape, spec.rank, spec.horizon, rng, min(budget, quarter)
+            )
+            radius = float(np.sum(sigma))
             build, oracle = registry.build_matrix_learner, streams.multitask_loss_grad
         radius *= RADIUS_FACTORS[spec.radius_mode]  # 0 for an all-zero truth
         runs += [(name, trial, build(name, *shape, radius or 1.0)) for name in spec.algorithms]
-    size = max(1, _STACK_BYTES // (8 * spec.dim))
-    # the registry's own AdaGrad and AdaFtrl, with their class's step, can be rows of a stack
-    diagonal = [r for r in runs if type(r[2]) in (AdaGrad, AdaFtrl) and "step" not in vars(r[2])]
+    row = spec.dim * spec.tasks if spec.kind == "multitask" else spec.dim
+    size = max(1, _STACK_BYTES // (8 * row))
+    # the registry's own diagonal learners, with their class's step, can be rows of a stack
+    diagonal = [r for r in runs if type(r[2]) in _STACKABLE and "step" not in vars(r[2])]
     stacks = {diagonal[k][:2]: diagonal[k : k + size] for k in range(0, len(diagonal), size)}
     stackable = {run[:2] for run in diagonal}
     for label, trial, learner in runs:  # a stack plays where its first row's run would
@@ -318,8 +329,7 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
     """Run all trials; returns (records, failures) in canonical order.
 
-    The trials of a logistic spec advance together, sharing ``streams.BLOCK_BYTES``;
-    multitask and blackbox trials run one after another.
+    The trials advance together, block by block (:func:`_run_trials`).
     An algorithm name the kind does not know raises ``KeyError`` up front.
     ``threads`` has no effect; the interpreter-bound trials ran slower on a
     thread pool.
@@ -328,8 +338,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
         if name not in KINDS[spec.kind]:
             raise KeyError(f"unknown {spec.kind} algorithm {name!r}")
     seeds = dict(enumerate(np.random.SeedSequence(spec.seed).spawn(spec.trials)))
-    parts = [seeds] if spec.kind == "logistic" else [{t: s} for t, s in seeds.items()]
-    runs = [run for part in parts for run in _run_trials(spec, part)]
+    runs = _run_trials(spec, seeds)
     # each run's rows are in round order, so sorting the runs sorts the rows
     runs.sort(key=lambda run: run[:2])
     records = [r for _, _, recs, _ in runs for r in recs]

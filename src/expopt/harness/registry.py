@@ -47,28 +47,40 @@ def build_vector_learner(name: str, dim: int, radius: float):
     raise KeyError(f"unknown vector algorithm {name!r}")
 
 
-def _diag_nuclear(name: str, m: int, n: int, radius: float) -> Learner:
-    """Diagonal baseline on a flattened matrix, projected onto the nuclear ball.
+def _nuclear_rows(m: int, n: int, radius, leader):
+    """``advance`` of a diagonal baseline on flattened ``m``-by-``n`` matrices.
 
-    :func:`~expopt.baselines.adagrad_step` or ``adaftrl_step`` runs
-    coordinatewise on the vectorization; the nuclear-ball constraint is
-    enforced by a Frobenius-metric projection (the exact weighted
-    projection has no spectral form).
+    :func:`~expopt.baselines._diag_step` runs coordinatewise on the vectorization, with no
+    mode (``leader`` picks AdaFtrl's target over AdaGrad's); the nuclear-ball constraint is
+    enforced by a Frobenius-metric projection (the exact weighted projection has no spectral
+    form).  One run takes a float ``radius`` and a bool ``leader``; the rows of a stacked
+    state ``(rows, m*n)`` take one of each per row, ``(rows, 1)``, and one stacked
+    projection, each row bit for bit as alone.
     """
 
     def advance(state, g, h_next, reg_weight):
-        # looked up on every step, as AdaGrad and AdaFtrl look up theirs
-        step = baselines.adagrad_step if name == "adagrad" else baselines.adaftrl_step
-        g = _checked(g, (m, n), "g").ravel()
-        h_next = None if h_next is None else _checked(h_next, (m, n), "h_next").ravel()
-        st, target = step(state, g, None, h_next, reg_weight)
-        x = euclidean_nuclear_ball_project(target.reshape(m, n), radius)
+        shape = (*state.x.shape[:-1], m, n)
+        g = _checked(g, shape, "g").reshape(state.x.shape)
+        if h_next is not None:
+            h_next = _checked(h_next, shape, "h_next").reshape(state.x.shape)
+        st, target = baselines._diag_step(state, g, None, h_next, reg_weight, leader)
+        # looked up on every step, so a wrapper of the projection sees the stacked rows too
+        x = euclidean_nuclear_ball_project(target.reshape(shape), radius)
         st = baselines.DiagProxState(
-            st.h_diag, st.g_accum, x.ravel(), st.h_prev, st.round, st.reg_rounds
+            st.h_diag, st.g_accum, x.reshape(state.x.shape), st.h_prev, st.round, st.reg_rounds
         )
         return st, x
 
-    return Learner(diag_init(m * n), np.zeros((m, n)), advance)
+    return advance
+
+
+class _DiagNuclear(Learner):
+    """The matrix ``adagrad`` or ``adaftrl``: :func:`_nuclear_rows` of one run."""
+
+    def __init__(self, name: str, m: int, n: int, ball: BallConstraint):
+        self.mode, self.leader = ball, name == "adaftrl"
+        advance = _nuclear_rows(m, n, ball.radius, self.leader)
+        super().__init__(diag_init(m * n), np.zeros((m, n)), advance)
 
 
 def build_matrix_learner(name: str, m: int, n: int, radius: float):
@@ -79,7 +91,7 @@ def build_matrix_learner(name: str, m: int, n: int, radius: float):
     if name == "spectral_exp_ftrl":
         return SpectralExpFtrl(SpectralSchedule(m, n, radius), mode=ball)
     if name in ("adagrad", "adaftrl"):
-        return _diag_nuclear(name, m, n, radius)
+        return _DiagNuclear(name, m, n, ball)
     raise KeyError(f"unknown matrix algorithm {name!r}")
 
 

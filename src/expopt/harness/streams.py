@@ -22,6 +22,7 @@ __all__ = [
     "gen_logistic_stream",
     "logistic_blocks",
     "gen_multitask_stream",
+    "multitask_blocks",
     "gen_blackbox_problem",
     "logistic_loss",
     "logistic_grad",
@@ -32,12 +33,9 @@ __all__ = [
 
 
 def _sigmoid(m):
-    out = np.empty_like(m, dtype=float)
-    pos = m >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
-    em = np.exp(m[~pos])
-    out[~pos] = em / (1.0 + em)
-    return out
+    # exp(-|m|), never above 1; np.minimum returns a NaN m itself, so a NaN keeps its sign
+    e = np.exp(np.minimum(m, -m))
+    return np.where(m >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _sigmoid_scalar(m: float) -> float:
@@ -169,13 +167,16 @@ def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def gen_multitask_stream(
-    dim: int, tasks: int, rank: int, horizon: int, rng: np.random.Generator
-) -> MultitaskStream:
-    """Correlated tasks: ``w_star = U diag(sigma) V`` of exact rank ``rank``.
+def multitask_blocks(
+    dim: int, tasks: int, rank: int, horizon: int, rng: np.random.Generator,
+    budget: int = BLOCK_BYTES,
+):
+    """``(w_star, singular_values, blocks)``: :func:`gen_multitask_stream` a block at a time.
 
-    ``sigma`` has ``rank`` nonzero entries uniform on [0, 10]; the per-task
-    parameters are the columns of ``w_star``.
+    ``blocks`` yields ``(features, labels, w_star's losses)`` of the most rounds within
+    ``budget`` bytes of features, at least one, bit for bit: labels come from a copy of ``rng``
+    advanced past the ``horizon * tasks * dim`` feature draws.  A round's loss is the sum of
+    its tasks' losses, from the margins that drew its labels.
     """
     if rank > min(dim, tasks):
         raise ValueError("rank cannot exceed min(dim, tasks)")
@@ -184,12 +185,33 @@ def gen_multitask_stream(
     sigma = np.zeros(tasks)
     sigma[:rank] = rng.uniform(0.0, 10.0, size=rank)
     w_star = (u[:, :tasks] * sigma) @ v
-    features = rng.uniform(-1.0, 1.0, size=(horizon, tasks, dim))
-    margins = np.einsum("tkd,dk->tk", features, w_star)
-    labels = np.where(rng.random((horizon, tasks)) < _sigmoid(margins), 1.0, -1.0)
-    return MultitaskStream(
-        w_star=w_star, singular_values=sigma.copy(), features=features, labels=labels
-    )
+    label_rng = copy.deepcopy(rng)
+    label_rng.bit_generator.advance(horizon * tasks * dim)
+    rows = max(budget // (8 * tasks * dim), 1)
+    stops = [*range(rows, horizon, rows), horizon]  # one block, empty, at horizon 0
+
+    def blocks():
+        for start, stop in zip([0, *stops], stops):
+            features = rng.uniform(-1.0, 1.0, size=(stop - start, tasks, dim))
+            margins = np.einsum("tkd,dk->tk", features, w_star)
+            labels = np.where(label_rng.random(margins.shape) < _sigmoid(margins), 1.0, -1.0)
+            yield features, labels, np.sum(np.logaddexp(0.0, -(labels * margins)), axis=1)
+
+    return w_star, sigma, blocks()
+
+
+def gen_multitask_stream(
+    dim: int, tasks: int, rank: int, horizon: int, rng: np.random.Generator
+) -> MultitaskStream:
+    """Correlated tasks: ``w_star = U diag(sigma) V`` of exact rank ``rank``.
+
+    ``sigma`` has ``rank`` nonzero entries uniform on [0, 10]; the per-task
+    parameters are the columns of ``w_star``.
+    """
+    w_star, sigma, blocks = multitask_blocks(dim, tasks, rank, horizon, rng)
+    features, labels, _ = zip(*blocks)
+    rng.random((horizon, tasks))  # skip the label draws: rng ends as after one draw of each
+    return MultitaskStream(w_star, sigma, np.concatenate(features), np.concatenate(labels))
 
 
 def multitask_loss_grad(w, features_t, labels_t):

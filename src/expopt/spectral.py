@@ -166,21 +166,31 @@ def spectral_prox(y, reg: CompositeRegularizer, p: EntropyParams) -> np.ndarray:
     return (f.u * shrunk) @ f.vt
 
 
-def _project_spectrum(y, radius: float, project) -> np.ndarray:
-    """A copy of ``y`` inside the nuclear ball; outside, ``y`` with spectrum ``project(s)``."""
+def _project_spectrum(y, radius, project) -> np.ndarray:
+    """A copy of ``y`` inside the nuclear ball; outside, ``y`` with spectrum ``project(s, radius)``.
+
+    A stack ``(rows, m, n)``, with ``radius`` a float or one per row ``(rows, 1)``, takes one
+    SVD; the rows outside their balls get ``project`` of their spectra as one stack, and each
+    row has the bits it has alone.
+    """
     y = np.asarray(y, dtype=float)
     # ahead of the SVD: on a 5x4 input with an infinite entry it ran 20 s without returning
     if not np.isfinite(y).all():
         raise NumericRangeError("nuclear-ball projection got a non-finite entry")
     u, s, vt = np.linalg.svd(y, full_matrices=False)
-    if float(np.sum(s)) <= radius:
+    inside = s.sum(axis=-1, keepdims=True) <= radius
+    if inside.all():
         return y.copy()
-    return (u * project(s)) @ vt
+    if not inside.any():  # one matrix, or a stack whose every row projects
+        return (u * project(s, radius)[..., None, :]) @ vt
+    out, p = y.copy(), ~inside[:, 0]
+    out[p] = (u[p] * project(s[p], np.broadcast_to(radius, inside.shape)[p])[:, None]) @ vt[p]
+    return out
 
 
 def nuclear_ball_project(y, ball: BallConstraint, p: EntropyParams) -> np.ndarray:
     """Bregman projection onto the nuclear ball: :func:`l1_ball_project` of the spectrum."""
-    return _project_spectrum(y, ball.radius, lambda s: l1_ball_project(s, ball, p))
+    return _project_spectrum(y, ball.radius, lambda s, _: l1_ball_project(s, ball, p))
 
 
 nuclear_project_or_pass = nuclear_ball_project

@@ -445,6 +445,24 @@ class TestLogisticOracle:
             expected = float(_sigmoid(np.array([m]))[0])
             assert _sigmoid_scalar(float(m)) == expected
 
+    def test_array_sigmoid_is_the_two_branch_formula_bit_for_bit(self):
+        from expopt.harness.streams import _sigmoid
+
+        def two_branch(m):  # 1/(1+exp(-m)) for m >= 0, exp(m)/(1+exp(m)) below
+            out = np.empty_like(m)
+            pos = m >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
+            em = np.exp(m[~pos])
+            out[~pos] = em / (1.0 + em)
+            return out
+
+        rng = np.random.default_rng(19)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 1e-320, -1e-320,
+                            np.nan, -np.nan, 709.0, -709.0, 36.7, -36.7])
+        for m in [special, *(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), rng.integers(0, 700))
+                             for _ in range(2000))]:
+            assert _sigmoid(m).tobytes() == two_branch(m).tobytes()
+
     def test_loss_grad_matches_array_sigmoid_formula(self):
         from expopt.harness.streams import _sigmoid, logistic_loss_grad
 
