@@ -2,10 +2,11 @@
 
 Every trial draws its own child of ``SeedSequence(seed)`` and generates its
 data block by block.  All runs of all trials of a spec advance together, a
-block of rounds at a time; the trials share ``streams.BLOCK_BYTES`` of
-features, and the AdaGrad and AdaFtrl runs, vector or matrix, step as the rows
-of stacked states, each row bit for bit as alone.  A blackbox trial is one
-block.  A side-effecting oracle sees the runs interleaved.
+block of rounds at a time, through one round loop; the trials share
+``streams.BLOCK_BYTES`` of features.  The AdaGrad and AdaFtrl runs, vector or
+matrix, step as the rows of stacked states, each row bit for bit as alone, and
+every other run alone.  A blackbox trial is one block.  A side-effecting oracle
+sees the runs interleaved.  Runs keep floats; :func:`run_experiment` makes rows.
 Rows are sorted by (algorithm, trial, round), floats written in their shortest
 round-trip form, so equal configurations give byte-identical CSV files.  A
 numeric error, or a non-finite loss, regret or objective, ends that
@@ -17,12 +18,12 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ..accelerate import Accelerator
-from ..baselines import AdaFtrl, AdaGrad, DiagProxState, _diag_step, _RowBalls
+from ..baselines import AdaFtrl, AdaGrad, _diag_step, _RowBalls
 from ..entropy import NumericRangeError
 from ..learners import Learner
 from ..zeroth_order import default_smoothing, two_point_grad_rows
@@ -92,6 +93,8 @@ class ExperimentSpec:
             raise ValueError("dim, trials and tasks must be >= 1")
         if min(self.horizon, self.rank, self.seed) < 0:
             raise ValueError("horizon, rank and seed must be >= 0")
+        if isinstance(self.sparsity, (bool, np.bool_)):
+            raise TypeError(f"sparsity must be a number, got {self.sparsity!r}")
         if not 0.0 <= self.sparsity <= 1.0:
             raise ValueError("sparsity must lie in [0, 1]")
         if self.radius_mode not in RADIUS_FACTORS:
@@ -144,25 +147,11 @@ class TrialFailure:
     error: str
 
 
-def _regrets(learner, oracle, rounds):
-    """Cumulative regret after each round, checked before the learner steps."""
-    cum = 0.0
-    for x, y, comp_loss in rounds:
-        loss, grad = oracle(learner.x, x, y)
-        cum += loss - comp_loss
-        if not math.isfinite(cum):
-            raise NumericRangeError(f"cumulative regret is not finite ({cum})")
-        learner.step(grad)
-        yield cum
-
-
 def _stack(learners) -> Learner:
     """Diagonal learners that started together, AdaGrad and AdaFtrl or the registry's matrix
     ones, as one learner with their rows."""
-    state = DiagProxState(
-        *[np.stack([getattr(lrn.state, f) for lrn in learners]) for f in _ROWS],
-        learners[0].state.round, learners[0].state.reg_rounds,
-    )
+    rows = {f: np.stack([getattr(lrn.state, f) for lrn in learners]) for f in _ROWS}
+    state = replace(learners[0].state, **rows)
     radii = np.array([[lrn.mode.radius] for lrn in learners])
     leader = np.array([[lrn.leader] for lrn in learners])
     x = np.stack([lrn.x for lrn in learners])
@@ -172,40 +161,49 @@ def _stack(learners) -> Learner:
     return Learner(state, x, lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader))
 
 
-def _stacked_regrets(learners, oracle, *rounds):
-    """:func:`_regrets` of learners stepped as one :func:`_stack`, one round iterator each:
-    per round, each running learner's regret or the error that ends it.  A stacked step that
-    raises is replayed row by row through each learner's own ``step``, as the row alone."""
-    live, cums, stack = list(range(len(learners))), [0.0] * len(learners), _stack(learners)
+def _regrets(learners, oracle, *rounds):
+    """Cumulative regret of each run, one round iterator each, checked before it steps: per
+    round, each live run's value or the error that ends it.  Two or more learners step as one
+    :func:`_stack`; a stacked step that raises is replayed row by row through each learner's
+    own ``step``, as the row alone, which is how a lone learner always steps."""
+    live, cums = list(range(len(learners))), [0.0] * len(learners)
+    stack = _stack(learners) if len(learners) > 1 else None
+
+    def regret(j, i):  # run i's value and gradient, or its error and None; row j of a stack
+        x, y, comp_loss = next(rounds[i])
+        # the decision lives in this call only: held across a yield, it would outlive its
+        # round while the other groups play
+        loss, grad = oracle(learners[i].x if stack is None else stack.x[j], x, y)
+        cums[i] += loss - comp_loss
+        if math.isfinite(cums[i]):
+            return cums[i], grad
+        return NumericRangeError(f"cumulative regret is not finite ({cums[i]})"), None
+
     while live:
         values, grads = [], []
-        for i, w in zip(live, stack.x):
-            x, y, comp_loss = next(rounds[i])
-            loss, grad = oracle(w, x, y)
-            cums[i] += loss - comp_loss
-            finite = math.isfinite(cums[i])
-            values.append(cums[i] if finite else NumericRangeError(
-                f"cumulative regret is not finite ({cums[i]})"))
-            grads.append(grad if finite else None)
-        stepped = all(grad is not None for grad in grads)
+        for j, i in enumerate(live):
+            value, grad = regret(j, i)
+            values.append(value)
+            grads.append(grad)
+        stepped = stack is not None and all(grad is not None for grad in grads)
         if stepped:
             try:
                 stack.step(np.array(grads))
             except _NUMERIC_ERRORS:
                 stepped = False
         if not stepped:  # each row alone, through its learner
-            st = stack.state
             for j, (i, grad) in enumerate(zip(live, grads)):
-                learners[i].state = DiagProxState(
-                    *[getattr(st, f)[j] for f in _ROWS], st.round, st.reg_rounds
-                )
+                if stack is not None:
+                    st = stack.state
+                    learners[i].state = replace(st, **{f: getattr(st, f)[j] for f in _ROWS})
                 try:
                     if grad is not None:
                         learners[i].step(grad)
                 except _NUMERIC_ERRORS as exc:
                     values[j] = exc
             live = [i for i, value in zip(live, values) if not isinstance(value, Exception)]
-            stack = _stack([learners[i] for i in live]) if live else None
+            if stack is not None and live:
+                stack = _stack([learners[i] for i in live])
         yield values
 
 
@@ -221,14 +219,14 @@ def _objectives(name, batch, spec, problem, seed_seq, rounds):
         value = problem.objective(z)
         if not math.isfinite(value):
             raise NumericRangeError(f"objective value is not finite ({value})")
-        yield value
+        yield [value]
 
 
-def _collect(kind, groups, blocks):
-    """Each run's ``[label, trial, records, failure]``, the groups advancing block by block.
+def _collect(groups, blocks):
+    """Each run's ``[label, trial, values, failure]``, the groups advancing block by block.
 
-    A group ``(runs, play)`` names its runs' ``(label, trial)``; ``play(*rounds)`` is a lone
-    run's values, which raise to end, or a :func:`_stacked_regrets`.  ``blocks`` maps each
+    A group ``(runs, play)`` names its runs' ``(label, trial)``; ``play(*rounds)`` yields each
+    live run's value or ending error per round, or raises to end them all.  ``blocks`` maps each
     trial to its equal-sized blocks, the next drawn when the first group reading it plays it.
     """
     held, results, going = {}, [], []
@@ -245,10 +243,12 @@ def _collect(kind, groups, blocks):
         rows = [[label, trial, [], None] for label, trial in runs]
         results += rows
         outcomes = play(*[rounds_of(t) for _, t in runs])
-        going.append((rows, {t for _, t in runs}, len(runs) > 1, outcomes))
+        going.append((rows, {t for _, t in runs}, outcomes))
     while True:
         drawn = set()
-        for rows, trials, stacked, outcomes in going:  # a run that ended has no more values
+        for rows, trials, outcomes in going:  # a run that ended has no more values
+            # drawn for one group at a time: until a group plays on, its rounds_of holds the
+            # trial's previous block, so blocks drawn ahead would sit beside it over the budget
             for trial in trials - drawn:
                 held[trial] = next(blocks[trial], None)
             drawn |= trials
@@ -257,13 +257,11 @@ def _collect(kind, groups, blocks):
                 return results
             try:
                 for outcome in itertools.islice(outcomes, len(block[0])):
-                    for row, value in zip(list(rows), outcome if stacked else [outcome]):
+                    for row, value in zip(list(rows), outcome):
                         if isinstance(value, Exception):
                             end(rows, row, value)
                         else:
-                            row[2].append(
-                                RegretRecord(kind, row[0], row[1], len(row[2]) + 1, float(value))
-                            )
+                            row[2].append(float(value))
             except _NUMERIC_ERRORS as exc:  # a generator that raises ends its runs
                 for row in list(rows):
                     end(rows, row, exc)
@@ -273,8 +271,8 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
     """The results of the trials ``{trial: seed sequence}``, advancing together block by block.
 
     The trials share ``streams.BLOCK_BYTES`` of data, multitask ones at most a quarter of one
-    trial's stream.  The registry's unwrapped AdaGrad and AdaFtrl runs, in order, step in
-    stacks of up to ``_STACK_BYTES`` an array; other runs step alone.
+    trial's stream.  The registry's unwrapped AdaGrad and AdaFtrl runs, in order, form groups
+    of up to ``_STACK_BYTES`` an array; every other run is a group of one.
     """
     runs, groups, blocks = [], [], {}
     budget = streams.BLOCK_BYTES // len(seeds)
@@ -314,16 +312,13 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
     size = max(1, _STACK_BYTES // (8 * row))
     # the registry's own diagonal learners, with their class's step, can be rows of a stack
     diagonal = [r for r in runs if type(r[2]) in _STACKABLE and "step" not in vars(r[2])]
-    stacks = {diagonal[k][:2]: diagonal[k : k + size] for k in range(0, len(diagonal), size)}
-    stackable = {run[:2] for run in diagonal}
-    for label, trial, learner in runs:  # a stack plays where its first row's run would
-        stack = stacks.get((label, trial), [])
-        if len(stack) > 1:
-            play = functools.partial(_stacked_regrets, [lrn for *_, lrn in stack], oracle)
-            groups.append(([run[:2] for run in stack], play))
-        elif stack or (label, trial) not in stackable:
-            groups.append(([(label, trial)], functools.partial(_regrets, learner, oracle)))
-    return _collect(spec.kind, groups, blocks)
+    chunks = {diagonal[k][:2]: diagonal[k : k + size] for k in range(0, len(diagonal), size)}
+    for run in runs:  # a chunk plays where its first run would, every other run alone
+        group = chunks.get(run[:2], [] if run in diagonal else [run])
+        if group:
+            play = functools.partial(_regrets, [lrn for *_, lrn in group], oracle)
+            groups.append(([r[:2] for r in group], play))
+    return _collect(groups, blocks)
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
@@ -339,9 +334,13 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
             raise KeyError(f"unknown {spec.kind} algorithm {name!r}")
     seeds = dict(enumerate(np.random.SeedSequence(spec.seed).spawn(spec.trials)))
     runs = _run_trials(spec, seeds)
-    # each run's rows are in round order, so sorting the runs sorts the rows
+    # each run's values are in round order, so sorting the runs sorts the rows
     runs.sort(key=lambda run: run[:2])
-    records = [r for _, _, recs, _ in runs for r in recs]
+    records = [
+        RegretRecord(spec.kind, label, trial, t, value)
+        for label, trial, values, _ in runs
+        for t, value in enumerate(values, 1)
+    ]
     return records, [failure for *_, failure in runs if failure]
 
 

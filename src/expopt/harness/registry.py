@@ -6,6 +6,7 @@ gradient estimators, pairing each family with its estimator recipe.  The
 accelerated learners run in elastic-net mode with schedules for radius 1.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -66,10 +67,7 @@ def _nuclear_rows(m: int, n: int, radius, leader):
         st, target = baselines._diag_step(state, g, None, h_next, reg_weight, leader)
         # looked up on every step, so a wrapper of the projection sees the stacked rows too
         x = euclidean_nuclear_ball_project(target.reshape(shape), radius)
-        st = baselines.DiagProxState(
-            st.h_diag, st.g_accum, x.reshape(state.x.shape), st.h_prev, st.round, st.reg_rounds
-        )
-        return st, x
+        return dataclasses.replace(st, x=x.reshape(state.x.shape)), x
 
     return advance
 

@@ -4,11 +4,13 @@ import importlib.util
 import json
 import lzma
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from expopt.cli import main
 from expopt.harness import (
     ExperimentSpec,
     aggregate_mean_std,
@@ -23,7 +25,7 @@ from expopt.harness import (
     write_metadata,
 )
 from expopt.harness import experiments as exp_mod
-from expopt.harness import registry
+from expopt.harness import registry, streams
 from expopt.harness.streams import logistic_blocks
 
 
@@ -512,3 +514,35 @@ def test_a_repeated_algorithm_is_a_config_error():
         ExperimentSpec(
             kind="logistic", dim=5, horizon=5, trials=1, algorithms=("exp_md", "exp_md"), seed=1
         )
+
+
+@pytest.mark.parametrize("flag", [True, np.bool_(False)])
+def test_a_bool_sparsity_is_a_config_error(tmp_path, flag):
+    base = dict(kind="logistic", dim=5, horizon=5, trials=1, algorithms=["exp_md"], seed=1)
+    with pytest.raises(TypeError, match="sparsity"):
+        ExperimentSpec(**base, sparsity=flag)
+    config, out = tmp_path / "config.json", tmp_path / "out.csv"
+    config.write_text(json.dumps({**base, "sparsity": bool(flag)}))
+    assert main(["logistic", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_no_run_keeps_an_earlier_decision_alive_while_another_group_plays(monkeypatch):
+    # a 2-row stack of adagrad and adaftrl and a lone exp_md, over three blocks of 40 rounds
+    monkeypatch.setattr(streams, "BLOCK_BYTES", 40 * 8 * 500)
+    spec = ExperimentSpec(kind="logistic", dim=500, horizon=120, trials=1,
+                          algorithms=("adagrad", "adaftrl", "exp_md"), seed=3)
+    oracle, seen, shapes, alive = streams.logistic_loss_grad, [], set(), []
+
+    def spy(w, x, y):  # a stacked row is a view of the stack's decision
+        owner = w if w.base is None else w.base
+        alive.append(sum(ref() is not None and ref() is not owner for ref in seen))
+        seen.append(weakref.ref(owner))
+        shapes.add(owner.shape)
+        return oracle(w, x, y)
+
+    monkeypatch.setattr(streams, "logistic_loss_grad", spy)
+    records, failures = run_experiment(spec)
+    assert not failures and len(records) == 3 * 120
+    assert shapes == {(2, 500), (500,)}
+    assert alive == [0] * len(alive)
