@@ -4,8 +4,9 @@ Every trial draws its own child of ``SeedSequence(seed)`` and generates its
 data block by block.  All runs of all trials of a spec advance together, a
 block of rounds at a time, through one round loop; the trials share
 ``streams.BLOCK_BYTES`` of features.  The AdaGrad and AdaFtrl runs, vector or
-matrix, step as the rows of stacked states, each row bit for bit as alone, and
-every other run alone.  A blackbox trial is one block.  A side-effecting oracle
+matrix, step as the rows of stacked states, and so do the exponentiated runs of
+each algorithm, vector or spectral, each row bit for bit as alone; every other
+run steps alone.  A blackbox trial is one block.  A side-effecting oracle
 sees the runs interleaved.  Runs keep floats; :func:`run_experiment` makes rows.
 Rows are sorted by (algorithm, trial, round), floats written in their shortest
 round-trip form, so equal configurations give byte-identical CSV files.  A
@@ -22,10 +23,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .. import learners as core
+from .. import spectral
 from ..accelerate import Accelerator
-from ..baselines import AdaFtrl, AdaGrad, _diag_step, _RowBalls
+from ..baselines import AdaFtrl, AdaGrad, DiagProxState, _diag_step, _RowBalls
 from ..entropy import NumericRangeError
-from ..learners import Learner
+from ..learners import ExpFtrl, ExpMd, FtrlState, Learner, OmdState, _RowSchedule
+from ..prox import BallConstraint
+from ..spectral import SpectralExpFtrl, SpectralExpMd, SvdFactors
 from ..zeroth_order import default_smoothing, two_point_grad_rows
 from . import registry, streams
 
@@ -52,10 +57,23 @@ KINDS = {
 RADIUS_FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 
 _NUMERIC_ERRORS = (NumericRangeError, FloatingPointError, np.linalg.LinAlgError)
-# bytes of one stacked array of diagonal runs: 8 rows at d=500, 1 from d=4000 up, 40 at 20x5
+# bytes of one array of a stacked state: 8 rows at d=500, 1 from d=4000 up, 40 at 20x5
 _STACK_BYTES = 32_000
-_ROWS = ("h_diag", "g_accum", "x", "h_prev")  # the fields with one row per stacked run
-_STACKABLE = (AdaGrad, AdaFtrl, registry._DiagNuclear)
+# the fields of each state with one row per stacked run
+_ROWS = {
+    DiagProxState: ("h_diag", "g_accum", "x", "h_prev"),
+    OmdState: ("x", "sum_sq", "h_prev", "factor"),
+    FtrlState: ("g_accum", "x1", "anchor_dual", "sum_sq", "h_prev"),
+}
+_DIAGONAL = (AdaGrad, AdaFtrl, registry._DiagNuclear)
+# each exponentiated learner's step, looked up when a stack is built, so that a wrapper of it
+# sees the stacked steps too
+_EXPONENTIATED = {
+    ExpMd: (core, "omd_step"),
+    ExpFtrl: (core, "ftrl_step"),
+    SpectralExpMd: (spectral, "spectral_omd_step"),
+    SpectralExpFtrl: (spectral, "spectral_ftrl_step"),
+}
 _INTEGER_FIELDS = ("dim", "horizon", "trials", "tasks", "rank", "seed")
 
 
@@ -147,15 +165,58 @@ class TrialFailure:
     error: str
 
 
+def _stack_key(learner):
+    """What runs must share to step as the rows of one :func:`_stack`, or ``None`` for a run
+    that steps alone.  Only the registry's own learners stack, with their class's step and
+    on a ball: AdaGrad and AdaFtrl together, vector or matrix, and the exponentiated ones
+    by class, schedule geometry and shape, ``beta`` and ``epsilon0``."""
+    kind = type(learner)
+    if "step" in vars(learner) or not isinstance(getattr(learner, "mode", None), BallConstraint):
+        return None
+    if kind in _DIAGONAL:
+        return "matrix diagonal" if kind is registry._DiagNuclear else "diagonal"
+    if kind in _EXPONENTIATED:
+        s = learner.sched
+        return kind, s.geometry, s.geometry.shape(s), s.beta, s.epsilon0
+    return None
+
+
+def _stacked(values):
+    """One state field of runs stacked: arrays and floats row by row, factors part by part."""
+    if values[0] is None:  # a vector mirror-descent factor, rebuilt from ``x``
+        return None
+    if isinstance(values[0], SvdFactors):
+        return SvdFactors(*map(np.stack, zip(*((f.u, f.s, f.vt) for f in values))))
+    return np.stack(values)
+
+
+def _row(value, j):
+    """Row ``j`` of a stacked state field, as the run alone holds it."""
+    if value is None:
+        return None
+    if isinstance(value, SvdFactors):
+        return SvdFactors(value.u[j], value.s[j], value.vt[j])
+    return value[j] if value.ndim > 1 else float(value[j])
+
+
 def _stack(learners) -> Learner:
-    """Diagonal learners that started together, AdaGrad and AdaFtrl or the registry's matrix
-    ones, as one learner with their rows."""
-    rows = {f: np.stack([getattr(lrn.state, f) for lrn in learners]) for f in _ROWS}
-    state = replace(learners[0].state, **rows)
+    """Learners that started together and share a :func:`_stack_key`, as one learner with
+    their rows."""
+    first = learners[0]
+    fields = _ROWS[type(first.state)]
+    rows = {f: _stacked([getattr(lrn.state, f) for lrn in learners]) for f in fields}
+    state = replace(first.state, **rows)
     radii = np.array([[lrn.mode.radius] for lrn in learners])
-    leader = np.array([[lrn.leader] for lrn in learners])
     x = np.stack([lrn.x for lrn in learners])
-    if isinstance(learners[0], registry._DiagNuclear):
+    if type(first) in _EXPONENTIATED:
+        one = first.sched
+        sched = _RowSchedule(one.geometry, np.array([[lrn.sched.eta] for lrn in learners]),
+                             one.beta, one.epsilon0)
+        step = getattr(*_EXPONENTIATED[type(first)])
+        balls = _RowBalls(radii)
+        return Learner(state, x, lambda s, g, h, w: step(s, g, sched, balls, h, w))
+    leader = np.array([[lrn.leader] for lrn in learners])
+    if isinstance(first, registry._DiagNuclear):
         return Learner(state, x, registry._nuclear_rows(*x.shape[1:], radii, leader))
     balls = _RowBalls(radii)
     return Learner(state, x, lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader))
@@ -195,7 +256,8 @@ def _regrets(learners, oracle, *rounds):
             for j, (i, grad) in enumerate(zip(live, grads)):
                 if stack is not None:
                     st = stack.state
-                    learners[i].state = replace(st, **{f: getattr(st, f)[j] for f in _ROWS})
+                    rows = {f: _row(getattr(st, f), j) for f in _ROWS[type(st)]}
+                    learners[i].state = replace(st, **rows)
                 try:
                     if grad is not None:
                         learners[i].step(grad)
@@ -271,8 +333,10 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
     """The results of the trials ``{trial: seed sequence}``, advancing together block by block.
 
     The trials share ``streams.BLOCK_BYTES`` of data, multitask ones at most a quarter of one
-    trial's stream.  The registry's unwrapped AdaGrad and AdaFtrl runs, in order, form groups
-    of up to ``_STACK_BYTES`` an array; every other run is a group of one.
+    trial's stream.  The registry's unwrapped runs that share a :func:`_stack_key`, in order,
+    form groups of up to ``_STACK_BYTES`` an array: the AdaGrad and AdaFtrl runs, and the
+    ``exp_md``, ``exp_ftrl``, ``spectral_exp_md`` and ``spectral_exp_ftrl`` runs by algorithm;
+    every other run is a group of one.
     """
     runs, groups, blocks = [], [], {}
     budget = streams.BLOCK_BYTES // len(seeds)
@@ -310,12 +374,13 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
         runs += [(name, trial, build(name, *shape, radius or 1.0)) for name in spec.algorithms]
     row = spec.dim * spec.tasks if spec.kind == "multitask" else spec.dim
     size = max(1, _STACK_BYTES // (8 * row))
-    # the registry's own diagonal learners, with their class's step, can be rows of a stack
-    diagonal = [r for r in runs if type(r[2]) in _STACKABLE and "step" not in vars(r[2])]
-    chunks = {diagonal[k][:2]: diagonal[k : k + size] for k in range(0, len(diagonal), size)}
-    for run in runs:  # a chunk plays where its first run would, every other run alone
-        group = chunks.get(run[:2], [] if run in diagonal else [run])
-        if group:
+    same = {}  # each stacking key's runs, in order; a run that steps alone is its own key
+    for run in runs:
+        same.setdefault(_stack_key(run[2]) or run[:2], []).append(run)
+    chunks = {rs[k][:2]: rs[k : k + size] for rs in same.values() for k in range(0, len(rs), size)}
+    for run in runs:  # a chunk plays where its first run would
+        if run[:2] in chunks:
+            group = chunks[run[:2]]
             play = functools.partial(_regrets, [lrn for *_, lrn in group], oracle)
             groups.append(([r[:2] for r in group], play))
     return _collect(groups, blocks)

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = ["LambertResult", "lambert_w0", "lambert_w0_from_log"]
 
 _MAX_ITER = 40
+_CYCLE_FROM = 8  # the iteration from which the Newton loop looks for a two-cycle
 _TINY = 1e-300
 
 
@@ -82,16 +83,26 @@ def _w0_log_array(s):
     the number of iterations run.  Each elastic-net prox call runs this
     loop on its active coordinates, so the loop uses ``abs`` and
     ``.all()`` rather than the ``np.abs``/``np.all`` wrappers.
+
+    The stop test can ask for less than one ulp of ``v``; Newton may then
+    alternate between two neighbouring floats.  Once every entry equals its
+    iterate two steps back, the test can never pass, so the loop returns what
+    the last of its ``_MAX_ITER`` iterations would hold, with that count.
     """
     s = np.asarray(s, dtype=float)
-    v = np.where(s > 1.0, np.log(np.maximum(s, 1.0)), s)
+    v = prev = np.where(s > 1.0, np.log(np.maximum(s, 1.0)), s)
     its = 0
     for its in range(1, _MAX_ITER + 1):
         ev = np.exp(v)
         step = (ev + v - s) / (ev + 1.0)
-        v = v - step
+        before, prev, v = prev, v, v - step
         if (abs(step) <= 1e-16 * (2.0 + abs(v))).all():
             break
+        if its >= _CYCLE_FROM and (v == before).all():
+            # the iterates repeat with period two: the capped loop ends on v or prev by parity
+            if (_MAX_ITER - its) % 2:
+                v = prev
+            return np.exp(v), _MAX_ITER
     return np.exp(v), its
 
 

@@ -15,7 +15,11 @@ dual coordinates are clamped by the constraint without overflowing.
 
 One mirror-descent body and one leader-following body serve vectors and
 matrices alike: the schedule names its :data:`Geometry` (:data:`VECTORS`
-here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  Every
+here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  The
+same bodies step a stack of runs that share a geometry, ``beta`` and
+``epsilon0``, in the free space or on balls, with a leading row axis on every
+array and one ``eta``, ``sum_sq`` and ``alpha`` per row; each row keeps the
+bits it has stepped alone.  Every
 learner's step, these and the baselines', checks its inputs in one place,
 :func:`_inputs`, and runs under one floating-point guard.  A non-finite
 gradient, hint or regularizer weight, an overflow, invalid operation or
@@ -58,14 +62,16 @@ __all__ = [
 # the dual ``norm(d)`` of a gradient mismatch; ``factor(x, beta)``, the
 # scale-free mirror direction of a point, scaled into the dual space by
 # ``mirror(f, p)``; ``resolve(z, p, mode, reg_weight)``, the feasible point
-# of a dual point and its factor (``None``: rebuild it from the point).
+# of a dual point and its factor (``None``: rebuild it from the point).  Each
+# also takes a stack of points with a leading row axis: ``norm`` gives one
+# value per row, ``(rows,)``, and ``p.alpha`` is one scale per row, ``(rows, 1)``.
 Geometry = namedtuple("Geometry", "shape norm factor mirror resolve")
 
 
 # R^d: max-abs dual norm and the coordinatewise mirror map.
 VECTORS = Geometry(
     shape=lambda sched: (sched.dim,),
-    norm=lambda d: float(np.max(np.abs(d))),
+    norm=lambda d: np.abs(d).max(axis=-1),
     factor=lambda x, beta: np.log1p(np.abs(x) / beta) * np.sign(x),
     mirror=lambda f, p: p.alpha * f,
     resolve=lambda z, p, mode, w: (resolve_dual_point(z, p, mode, w), None),
@@ -110,12 +116,22 @@ def _fill_schedule(sched, k: int) -> None:
         raise ValueError("epsilon0 must be finite and nonnegative")
 
 
+# The schedule of runs stepped as the rows of one state: one ``eta`` per row,
+# ``(rows, 1)``, and the ``geometry``, ``beta`` and ``epsilon0`` the rows share.
+_RowSchedule = namedtuple("_RowSchedule", "geometry eta beta epsilon0")
+
+# The entropy parameters of stacked runs, one ``alpha`` per row ``(rows, 1)``, each
+# checked by ``_run_scale`` (``EntropyParams`` checks a float).
+_RowParams = namedtuple("_RowParams", "alpha beta")
+
+
 @dataclass(frozen=True)
 class OmdState:
     """Mirror-descent learner state: current point and hint bookkeeping.
 
     ``factor`` caches the geometry's scale-free mirror direction of ``x``;
-    ``None`` rebuilds it from ``x`` on the next step.
+    ``None`` rebuilds it from ``x`` on the next step.  Stacked runs that share
+    ``round`` hold one row per run in every other field, ``sum_sq`` as ``(rows,)``.
     """
 
     x: np.ndarray
@@ -133,7 +149,8 @@ class FtrlState:
     the dual point for any round is ``alpha * anchor_dual - g_accum - h``
     (for matrices it is the anchor's factors with the spectrum replaced by
     its direction).  ``reg_rounds`` is the accumulated composite-regularizer
-    weight (``t + 1`` under unit per-round weights).
+    weight (``t + 1`` under unit per-round weights).  Stacked runs share
+    ``round`` and ``reg_rounds`` and hold one row per run in every other field.
     """
 
     g_accum: np.ndarray
@@ -151,7 +168,9 @@ def resolve_dual_point(z, p: EntropyParams, mode: FeasibleMode, reg_weight: floa
     Free mode is the inverse mirror map, :func:`~expopt.entropy.mirror_map_inv`
     (raising :class:`NumericRangeError` past the exponent range or on a NaN).
     Ball and regularized modes stay in the log domain throughout; the ball
-    projection passes a point that is already inside through.
+    projection passes a point that is already inside through.  In free and
+    ball mode a stack of dual points ``(rows, k)`` resolves with one ``p.alpha``
+    per row, ``(rows, 1)``, each row as alone.
     """
     if mode is None:
         return mirror_map_inv(z, p)
@@ -204,7 +223,8 @@ def _add_square(sum_sq: float, norm: float, what: str) -> float:
     """``sum_sq + norm**2``, or :class:`NumericRangeError` if not finite.
 
     The square is taken as a numpy scalar's, bit for bit the float power, so
-    that an overflow trips the calling step's guard.
+    that an overflow trips the calling step's guard.  (An array's ``** 2`` is
+    ``n * n``, which differs from the power in the last bit of some floats.)
     """
     sum_sq = sum_sq + float(np.float64(norm) ** 2)
     if not math.isfinite(sum_sq):
@@ -212,13 +232,29 @@ def _add_square(sum_sq: float, norm: float, what: str) -> float:
     return sum_sq
 
 
-def _round_params(geo, sched, sum_sq, diff):
-    """The new hint-error sum and this round's entropy parameters."""
-    sum_sq = _add_square(sum_sq, geo.norm(diff), "gradient minus hint")
-    alpha = sched.eta * math.sqrt(sched.epsilon0 + sum_sq)
+def _run_scale(eta, epsilon0, sum_sq, norm):
+    """One run's new hint-error sum and adaptive scale ``alpha``, as floats."""
+    sum_sq = _add_square(sum_sq, norm, "gradient minus hint")
+    alpha = eta * math.sqrt(epsilon0 + sum_sq)
     if not 0 < alpha < math.inf:  # no hint error yet with epsilon0 = 0, or overflow
         raise NumericRangeError(f"adaptive scale alpha = {alpha} is outside (0, inf)")
-    return sum_sq, EntropyParams(alpha, sched.beta)
+    return sum_sq, alpha
+
+
+def _round_params(sched, sum_sq, diff):
+    """The new hint-error sum and this round's entropy parameters.
+
+    A stack's rows, with one norm per row, take :func:`_run_scale` one by one, as
+    each run alone: ``sum_sq`` ``(rows,)`` and ``alpha`` ``(rows, 1)``.
+    """
+    norm = sched.geometry.norm(diff)
+    if np.ndim(norm) == 0:
+        sum_sq, alpha = _run_scale(sched.eta, sched.epsilon0, sum_sq, norm)
+        return sum_sq, EntropyParams(alpha, sched.beta)
+    etas = sched.eta.ravel().tolist()
+    rows = zip(etas, sum_sq.tolist(), norm.tolist())
+    sums, alphas = zip(*[_run_scale(eta, sched.epsilon0, s, n) for eta, s, n in rows])
+    return np.array(sums), _RowParams(np.array(alphas)[:, None], sched.beta)
 
 
 def omd_init(sched: ScheduleParams, x1=None) -> OmdState:
@@ -244,11 +280,15 @@ def omd_step(
     Returns the new state and the decision ``x_{t+1}``.  ``reg_weight``
     scales the composite regularizer for this round (used by the
     stochastic-acceleration wrapper).
+
+    A stacked state steps each row bit for bit as alone, on a :class:`_RowSchedule`
+    and in the free space or on balls, a :class:`~expopt.baselines._RowBalls` for one
+    radius per row; ``g`` and ``h_next`` then have the rows' leading axis.
     """
     geo = sched.geometry
-    g, h_next = _inputs(geo.shape(sched), g, h_next, reg_weight)
+    g, h_next = _inputs(state.h_prev.shape, g, h_next, reg_weight)
     diff = g - state.h_prev
-    sum_sq, p = _round_params(geo, sched, state.sum_sq, diff)
+    sum_sq, p = _round_params(sched, state.sum_sq, diff)
     f = state.factor if state.factor is not None else geo.factor(state.x, sched.beta)
     z = geo.mirror(f, p) - (diff + h_next)
     x, factor = geo.resolve(z, p, mode, reg_weight)
@@ -282,11 +322,12 @@ def ftrl_step(
     """One leader-following round; mirrors :func:`omd_step`.
 
     In regularized mode the prox uses the accumulated weight
-    ``r_{1:t+1}``, i.e. ``(t + 1)`` under unit weights.
+    ``r_{1:t+1}``, i.e. ``(t + 1)`` under unit weights.  Stacks step as in
+    :func:`omd_step`.
     """
     geo = sched.geometry
-    g, h_next = _inputs(geo.shape(sched), g, h_next, reg_weight)
-    sum_sq, p = _round_params(geo, sched, state.sum_sq, g - state.h_prev)
+    g, h_next = _inputs(state.h_prev.shape, g, h_next, reg_weight)
+    sum_sq, p = _round_params(sched, state.sum_sq, g - state.h_prev)
     g_accum = state.g_accum + g
     reg_rounds = state.reg_rounds + reg_weight
     if math.isinf(reg_rounds):  # a sum of Python floats trips no guard
@@ -337,6 +378,7 @@ class ExpMd(Learner):
     """Stateful mirror-descent learner over :func:`omd_step`, on either schedule."""
 
     def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
+        self.sched, self.mode = sched, mode
         state = omd_init(sched, x1)
         super().__init__(state, state.x, lambda s, g, h, w: omd_step(s, g, sched, mode, h, w))
 
@@ -345,6 +387,7 @@ class ExpFtrl(Learner):
     """Stateful leader-following learner over :func:`ftrl_step`, on either schedule."""
 
     def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
+        self.sched, self.mode = sched, mode
         state = ftrl_init(sched, x1)
         super().__init__(
             state, state.x1.copy(), lambda s, g, h, w: ftrl_step(s, g, sched, mode, h, w)

@@ -199,6 +199,10 @@ def l1_ball_project_from_log(log_scale, signs, ball: BallConstraint, p: EntropyP
     ``d`` passes.  The passes run on ``exp(L - max L)``, where the test
     reads ``exp(L_i - max L) <= sum_A exp(L - max L) * beta/(radius + k*beta)``.
 
+    A stack ``(rows, d)``, with ``ball.radius`` a float or one per row ``(rows, 1)``,
+    projects each row onto its ball bit for bit as that row alone: the feasibility
+    test and the passes run row by row, on each row's own active set.
+
     Raises :class:`NumericRangeError` when ``log_scale`` is not finite.
     """
     L = np.asarray(log_scale, dtype=float)
@@ -206,17 +210,32 @@ def l1_ball_project_from_log(log_scale, signs, ball: BallConstraint, p: EntropyP
     # ahead of the feasibility test, which a -inf entry would pass
     if not np.isfinite(L).all():
         raise NumericRangeError("l1-ball projection got a non-finite log scale")
-    radius = ball.radius
-    beta = p.beta
-
-    top = L.max()
-    ratios = np.exp(L - top)  # the largest coordinate has ratio exactly 1
-    total = float(ratios.sum())
-    k = L.size
-    if top + math.log(total) <= math.log(radius / beta + k):
+    beta, radius = p.beta, ball.radius
+    top = L.max(axis=-1, keepdims=True)
+    ratios = np.exp(L - top)  # the largest coordinate of each row has ratio exactly 1
+    totals = ratios.sum(axis=-1, keepdims=True)
+    tops = top.ravel().tolist()
+    radii = radius.ravel().tolist() if isinstance(radius, np.ndarray) else [radius] * len(tops)
+    rows = zip(ratios.reshape(len(tops), -1), tops, totals.ravel().tolist(), radii)
+    scales = [_support_scale(*row, beta) for row in rows]
+    inside = [scale is None for scale in scales]
+    if all(inside):
         return beta * np.expm1(L) * signs
+    scale = np.array([scale or 0.0 for scale in scales]).reshape(totals.shape)
+    out = np.maximum(scale * ratios - beta, 0.0) * signs
+    if any(inside):  # a stack whose rows inside their balls pass through
+        out[inside] = beta * np.expm1(L[inside]) * signs[inside]
+    return out
+
+
+def _support_scale(ratios, top, total, radius, beta):
+    """``(radius + k*beta) / total`` over the support of one row's projection, from its
+    ``ratios = exp(L - top)`` and their ``total``; ``None`` if the row is inside its ball."""
+    k = ratios.size
+    if top + math.log(total) <= math.log(radius / beta + k):
+        return None
     active = ratios
-    for _ in range(L.size):
+    for _ in range(ratios.size):
         # capped below 1 so that rounding cannot drop the largest coordinate
         cut = min(total * beta / (radius + k * beta), _BELOW_ONE)
         kept = active[active > cut]
@@ -225,5 +244,4 @@ def l1_ball_project_from_log(log_scale, signs, ball: BallConstraint, p: EntropyP
         active = kept
         k = active.size
         total = float(active.sum())
-    out = np.maximum((radius + k * beta) / total * ratios - beta, 0.0)
-    return out * signs
+    return (radius + k * beta) / total

@@ -64,7 +64,7 @@ class SvdFactors:
     vt: np.ndarray
 
     def compose(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vt
+        return _recompose(self.u, self.s, self.vt)
 
 
 def svd(x) -> SvdFactors:
@@ -74,7 +74,7 @@ def svd(x) -> SvdFactors:
     fails to converge.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("svd requires finite entries")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     return SvdFactors(u=u, s=s, vt=vt)
@@ -84,8 +84,12 @@ def nuclear_norm(x) -> float:
     return float(np.sum(np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)))
 
 
-def spectral_norm(x) -> float:
+def spectral_norm(x):
+    """Largest singular value of a matrix; of a stack ``(rows, m, n)``, one per matrix ``(rows,)``
+    from one stacked decomposition."""
     s = np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
+    if s.ndim > 1:
+        return s[:, 0]
     return float(s[0]) if s.size else 0.0
 
 
@@ -94,21 +98,27 @@ def _matrix_factor(x, beta):
     return SvdFactors(f.u, np.log1p(f.s / beta), f.vt)
 
 
+def _recompose(u, s, vt):
+    """``u @ diag(s) @ vt``, for one matrix or a stack."""
+    return (u * s[..., None, :]) @ vt
+
+
 def _resolve_matrix(z, p, mode, reg_weight):
     f = svd(z)
     spectrum = learners.resolve_dual_point(f.s, p, mode, reg_weight)
-    return (f.u * spectrum) @ f.vt, SvdFactors(f.u, np.log1p(spectrum / p.beta), f.vt)
+    return _recompose(f.u, spectrum, f.vt), SvdFactors(f.u, np.log1p(spectrum / p.beta), f.vt)
 
 
 # m-by-n matrices: the vector mirror map applied to the singular values (a
 # factor is an SvdFactors holding their directions).  The hint mismatch enters
 # ``sum_sq`` through its largest singular value, the spectral dual norm; the
 # dual matrix is factored once and its spectrum resolved as in the vector learner.
+# A stack ``(rows, m, n)`` takes one stacked decomposition and one stacked product.
 MATRICES = Geometry(
     shape=lambda sched: (sched.m, sched.n),
     norm=lambda d: spectral_norm(d),  # looked up per call, so a wrapper of it sees the steps
     factor=_matrix_factor,
-    mirror=lambda f, p: (f.u * (p.alpha * f.s)) @ f.vt,
+    mirror=lambda f, p: _recompose(f.u, p.alpha * f.s, f.vt),
     resolve=_resolve_matrix,
 )
 
@@ -182,9 +192,9 @@ def _project_spectrum(y, radius, project) -> np.ndarray:
     if inside.all():
         return y.copy()
     if not inside.any():  # one matrix, or a stack whose every row projects
-        return (u * project(s, radius)[..., None, :]) @ vt
+        return _recompose(u, project(s, radius), vt)
     out, p = y.copy(), ~inside[:, 0]
-    out[p] = (u[p] * project(s[p], np.broadcast_to(radius, inside.shape)[p])[:, None]) @ vt[p]
+    out[p] = _recompose(u[p], project(s[p], np.broadcast_to(radius, inside.shape)[p]), vt[p])
     return out
 
 
@@ -206,6 +216,7 @@ class SpectralExpMd(Learner):
     """Stateful spectral mirror-descent learner."""
 
     def __init__(self, sched: SpectralSchedule, mode: FeasibleMode = None, x1=None):
+        self.sched, self.mode = sched, mode
         state = spectral_omd_init(sched, x1)
         super().__init__(
             state, state.x, lambda s, g, h, w: spectral_omd_step(s, g, sched, mode, h, w)
@@ -216,6 +227,7 @@ class SpectralExpFtrl(Learner):
     """Stateful spectral leader-following learner."""
 
     def __init__(self, sched: SpectralSchedule, mode: FeasibleMode = None, x1=None):
+        self.sched, self.mode = sched, mode
         state = spectral_ftrl_init(sched, x1)
         super().__init__(
             state, state.x1.copy(), lambda s, g, h, w: spectral_ftrl_step(s, g, sched, mode, h, w)

@@ -142,3 +142,19 @@ class TestLogArrayLoop:
         for s in capped:
             self._assert_same(float(s))
         self._assert_same(np.array(capped))
+
+    def test_a_capped_call_stops_at_its_two_cycle_with_the_capped_bits(self, monkeypatch):
+        # where Newton alternates between two floats the loop ends early, with the w and
+        # the count of all 40 iterations
+        rng = np.random.default_rng(43)
+        capped = [s for s in rng.uniform(-8.0, -4.0, 4000)
+                  if w0_log_array_reference(float(s))[1] == 40]
+        assert len(capped) >= 5
+        for s in capped:
+            self._assert_same(float(s))
+        self._assert_same(np.array(capped))
+        self._assert_same(np.array(capped + [1.0, 5.0, -300.0]))
+        exp, calls = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda v: calls.append(1) or exp(v))
+        w, its = _w0_log_array(capped[0])
+        assert its == 40 and len(calls) < 20  # one exp per Newton step, one for w

@@ -1,13 +1,16 @@
-"""AdaGrad and AdaFtrl runs stepped as the rows of one stacked state.
+"""Runs of all trials stepped as the rows of one stacked state.
 
 The harness steps the diagonal runs of all trials of a logistic spec
 together, as the rows of one ``(rows, d)`` state, and the matrix ones of a
 multitask spec as the rows of one ``(rows, m*n)`` state with one stacked
-nuclear projection, while each other run steps alone.  Each row's records
-are those of its run stepped alone, byte for byte, and a row that fails ends
-alone, at its own round, with its own error.
+nuclear projection.  The exponentiated runs stack by class: the ``exp_md``
+runs as the rows of one ``OmdState``, the ``exp_ftrl`` ones of one
+``FtrlState``, vector ``(rows, d)`` or matrix ``(rows, m, n)``.  Each row's
+records are those of its run stepped alone, byte for byte, and a row that
+fails ends alone, at its own round, with its own error.
 """
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -15,8 +18,9 @@ import math
 import numpy as np
 import pytest
 
-from expopt import AdaFtrl, AdaGrad, BallConstraint, DiagProxState, ExpMd, NumericRangeError
-from expopt import ScheduleParams, SpectralExpMd, SpectralSchedule
+from expopt import AdaFtrl, AdaGrad, BallConstraint, DiagProxState, ExpFtrl, ExpMd
+from expopt import NumericRangeError, ScheduleParams, SpectralExpFtrl, SpectralExpMd
+from expopt import SpectralSchedule, learners, spectral
 from expopt.baselines import _diag_step, _RowBalls, adaftrl_step, adagrad_step, diag_init
 from expopt.baselines import euclidean_nuclear_ball_project
 from expopt.harness import ExperimentSpec, RegretRecord, TrialFailure, run_experiment
@@ -27,6 +31,8 @@ from expopt.harness.streams import multitask_loss_grad
 FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 LEARNERS = {
     "exp_md": lambda dim, radius: ExpMd(ScheduleParams(dim, radius), mode=BallConstraint(radius)),
+    "exp_ftrl": lambda dim, radius: ExpFtrl(ScheduleParams(dim, radius),
+                                            mode=BallConstraint(radius)),
     "adagrad": lambda dim, radius: AdaGrad(dim, mode=BallConstraint(radius)),
     "adaftrl": lambda dim, radius: AdaFtrl(dim, mode=BallConstraint(radius)),
 }
@@ -150,9 +156,13 @@ def test_a_leader_keeps_the_sign_of_a_zero_target():
     assert np.signbit(x[0]) and xs[0].tobytes() == x.tobytes()
 
 
+SPECTRAL = {"spectral_exp_md": SpectralExpMd, "spectral_exp_ftrl": SpectralExpFtrl}
+
+
 def each_matrix_run_alone(spec):
     """The records of a multitask ``spec``, each ``(algorithm, trial)`` stepped alone: the
-    diagonal runs by ``adagrad_step``/``adaftrl_step`` on the flattening, then
+    spectral runs by ``SpectralExpMd``/``SpectralExpFtrl``, the diagonal ones by
+    ``adagrad_step``/``adaftrl_step`` on the flattening, then
     ``euclidean_nuclear_ball_project``."""
     m, n, records = spec.dim, spec.tasks, []
     for trial, seed in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.trials)):
@@ -161,16 +171,17 @@ def each_matrix_run_alone(spec):
         margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
         comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
         for name in spec.algorithms:
-            spectral = SpectralExpMd(SpectralSchedule(m, n, radius), mode=BallConstraint(radius))
+            ball = BallConstraint(radius)
+            learner = SPECTRAL.get(name, SpectralExpMd)(SpectralSchedule(m, n, radius), ball)
             step = adaftrl_step if name == "adaftrl" else adagrad_step
             state, x, cum = diag_init(m * n), np.zeros((m, n)), 0.0
             for t, (f, y, comp) in enumerate(zip(stream.features, stream.labels, comp_losses)):
-                if name == "spectral_exp_md":
-                    x = spectral.x
+                if name in SPECTRAL:
+                    x = learner.x
                 loss, grad = multitask_loss_grad(x, f, y)
                 cum += loss - comp
-                if name == "spectral_exp_md":
-                    spectral.step(grad)
+                if name in SPECTRAL:
+                    learner.step(grad)
                 else:
                     state, target = step(state, grad.ravel())
                     x = euclidean_nuclear_ball_project(target.reshape(m, n), radius)
@@ -292,3 +303,187 @@ def test_a_non_finite_row_fails_the_stack_before_the_svd(monkeypatch, bad):
     with pytest.raises(NumericRangeError, match="non-finite"):
         euclidean_nuclear_ball_project(y, np.ones((4, 1)))
     assert calls == []
+
+
+def exponentiated_steps(monkeypatch):
+    """The number of rows of each step of the exponentiated learners, by step function: a
+    stack's row count (a stack holds one ``sum_sq`` per row), 1 for a run stepped alone."""
+    rows = collections.defaultdict(list)
+
+    def spying(module, name):
+        step = getattr(module, name)
+
+        def spy(state, *args):
+            rows[name].append(np.size(state.sum_sq))
+            return step(state, *args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module, name in [(learners, "omd_step"), (learners, "ftrl_step"),
+                         (spectral, "spectral_omd_step"), (spectral, "spectral_ftrl_step")]:
+        spying(module, name)
+    return rows
+
+
+# a stack holds 32 kB of each state array, every row at d=5 and 8 at d=500: each algorithm's
+# runs are one stack; the spy's counts are read before the reference steps runs alone
+@pytest.mark.parametrize("dim,horizon", [(5, 300), (500, 450)])
+@pytest.mark.parametrize("trials", [2, 5])
+@pytest.mark.parametrize("radius_mode", sorted(FACTORS))
+def test_stacked_exponentiated_runs_give_the_records_of_each_run_alone(
+    pin_blas, monkeypatch, dim, horizon, trials, radius_mode
+):
+    pin_blas(1)  # the reference's one product over the whole stream
+    spec = ExperimentSpec(kind="logistic", dim=dim, horizon=horizon, trials=trials,
+                          algorithms=("exp_md", "exp_ftrl"), seed=dim + trials,
+                          radius_mode=radius_mode)
+    rows = exponentiated_steps(monkeypatch)
+    records, failures = run_experiment(spec)
+    assert not failures
+    # each algorithm's runs step as one stack, once a round
+    assert rows == {"omd_step": [trials] * horizon, "ftrl_step": [trials] * horizon}
+    assert [repr(r) for r in records] == [repr(r) for r in each_alone(spec)]
+
+
+@pytest.mark.parametrize("dim,tasks", [(6, 3), (20, 5)])
+@pytest.mark.parametrize("trials", [2, 5])
+@pytest.mark.parametrize("radius_mode", sorted(FACTORS))
+def test_stacked_spectral_runs_give_the_records_of_each_run_alone(
+    monkeypatch, dim, tasks, trials, radius_mode
+):
+    spec = ExperimentSpec(kind="multitask", dim=dim, tasks=tasks, rank=2, horizon=60,
+                          trials=trials, algorithms=("spectral_exp_md", "spectral_exp_ftrl"),
+                          sparsity=0.0, seed=dim + trials, radius_mode=radius_mode)
+    rows = exponentiated_steps(monkeypatch)
+    records, failures = run_experiment(spec)
+    assert not failures
+    steps = [trials] * spec.horizon
+    assert rows == {"spectral_omd_step": steps, "spectral_ftrl_step": steps}
+    assert [repr(r) for r in records] == [repr(r) for r in each_matrix_run_alone(spec)]
+
+
+def test_a_stack_is_capped_by_its_bytes_and_a_run_that_steps_alone_stays_alone(monkeypatch):
+    # 20 trials at d=500: stacks of 8, 8 and 4 rows for each algorithm; d=4000 holds one row
+    spec = ExperimentSpec(kind="logistic", dim=500, horizon=3, trials=20,
+                          algorithms=("exp_md", "exp_ftrl"), seed=3)
+    rows = exponentiated_steps(monkeypatch)
+    run_experiment(spec)
+    assert rows == {"omd_step": [8, 8, 8, 8, 8, 8, 4, 4, 4], "ftrl_step": [8] * 6 + [4] * 3}
+    rows.clear()
+    run_experiment(dataclasses.replace(spec, dim=4000, trials=2))
+    assert rows == {"omd_step": [1] * 6, "ftrl_step": [1] * 6}
+
+
+@pytest.mark.parametrize("inject", ["gradient", "loss"])
+@pytest.mark.parametrize("kind", ["logistic", "multitask"])
+def test_a_failure_inside_an_exponentiated_stack_ends_only_its_row(monkeypatch, kind, inject):
+    k, horizon = 7, 40
+    if kind == "logistic":
+        spec = ExperimentSpec(kind="logistic", dim=20, horizon=horizon, trials=3,
+                              algorithms=("exp_md", "exp_ftrl", "adagrad"), seed=11)
+        first, step = "exp_md", "omd_step"
+    else:
+        spec = ExperimentSpec(kind="multitask", dim=6, tasks=3, rank=2, horizon=horizon,
+                              trials=3, algorithms=("spectral_exp_md", "spectral_exp_ftrl",
+                                                    "adagrad"), sparsity=0.0, seed=11)
+        first, step = "spectral_exp_md", "spectral_omd_step"
+    clean, no_failures = run_experiment(spec)
+    assert not no_failures
+    seed = np.random.SeedSequence(spec.seed).spawn(spec.trials)[1]
+    if kind == "logistic":
+        data = gen_logistic_stream(20, horizon, spec.sparsity, np.random.default_rng(seed))
+        name, oracle = "logistic_loss_grad", streams.logistic_loss_grad
+    else:
+        data = gen_multitask_stream(6, 3, 2, horizon, np.random.default_rng(seed))
+        name, oracle = "multitask_loss_grad", streams.multitask_loss_grad
+    hits = itertools.count(1)
+
+    def injecting(w, f, y):  # trial 1's round k, first seen by its row of the first stack
+        loss, grad = oracle(w, f, y)
+        if np.array_equal(f, data.features[k - 1]) and next(hits) == 1:
+            if inject == "gradient":
+                grad.flat[0] = np.nan
+            else:
+                loss = math.inf
+        return loss, grad
+
+    monkeypatch.setattr(streams, name, injecting)
+    rows = exponentiated_steps(monkeypatch)
+    records, failures = run_experiment(spec)
+    error = ("gradient g or hint h_next is not finite" if inject == "gradient"
+             else "cumulative regret is not finite (inf)")
+    assert failures == [TrialFailure(first, 1, k, error)]
+    # the first stack: three rows until the failure; at it the stacked step that raises and
+    # each row alone, or the two live rows alone; then two rows as one stack
+    at_failure = [3, 1, 1, 1] if inject == "gradient" else [1, 1]
+    assert rows[step] == [3] * (k - 1) + at_failure + [2] * (horizon - k)
+    assert [n for name, n in rows.items() if name != step] == [[3] * horizon]
+
+    def run(recs, name, trial):
+        return [repr(r) for r in recs if (r.algorithm, r.trial) == (name, trial)]
+
+    assert run(records, first, 1) == run(clean, first, 1)[: k - 1]
+    for name, trial in itertools.product(spec.algorithms, range(spec.trials)):
+        if (name, trial) != (first, 1):
+            assert run(records, name, trial) == run(clean, name, trial)
+
+
+def bits(value):
+    """A state field's exact value: its arrays' bytes, a float's repr."""
+    if isinstance(value, spectral.SvdFactors):
+        return value.u.tobytes(), value.s.tobytes(), value.vt.tobytes()
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+
+def stacked_state(states):
+    """Lone learner states as the rows of one state, as the harness stacks them."""
+    fields = experiments._ROWS[type(states[0])]
+    rows = {f: experiments._stacked([getattr(st, f) for st in states]) for f in fields}
+    return dataclasses.replace(states[0], **rows)
+
+
+@pytest.mark.parametrize("shape", [(5,), (500,), (6, 3), (20, 5)])
+@pytest.mark.parametrize("omd", [True, False])
+def test_a_stacked_exponentiated_step_gives_each_row_the_state_of_its_step_alone(shape, omd):
+    rng = np.random.default_rng(sum(shape) + omd)
+    # the last two balls are wide: their rows stay inside and pass through
+    radii = [0.5, 2.0, 1e6, 1e6]
+    if len(shape) == 1:
+        scheds = [ScheduleParams(shape[0], r) for r in radii]
+    else:
+        scheds = [SpectralSchedule(*shape, r) for r in radii]
+    init, step = (learners.omd_init, learners.omd_step) if omd else (
+        learners.ftrl_init, learners.ftrl_step)
+    alone = [init(sched) for sched in scheds]
+    stack = stacked_state(alone)
+    rows = learners._RowSchedule(scheds[0].geometry, np.array([[s.eta] for s in scheds]),
+                                 scheds[0].beta, scheds[0].epsilon0)
+    balls = _RowBalls(np.array([[r] for r in radii]))
+    for _ in range(6):
+        g = rng.standard_normal((len(radii), *shape)) * rng.uniform(0.1, 20.0)
+        stack, xs = step(stack, g, rows, balls)
+        for j, (sched, radius) in enumerate(zip(scheds, radii)):
+            alone[j], x = step(alone[j], g[j], sched, BallConstraint(radius))
+            assert xs[j].tobytes() == x.tobytes()
+        for f in experiments._ROWS[type(stack)]:
+            for j in range(len(radii)):
+                got = experiments._row(getattr(stack, f), j)
+                assert bits(got) == bits(getattr(alone[j], f)), f
+    assert stack.round == alone[0].round
+
+
+def test_a_stack_squares_each_norm_by_the_float_power_as_alone():
+    # the float power and an array's n*n differ on this norm
+    n = 1.5873500225580646
+    assert np.float64(n) ** 2 != (np.array([n]) ** 2)[0]
+    sched = ScheduleParams(3, 2.0)
+    alone = [learners.omd_init(sched) for _ in range(2)]
+    stack = stacked_state(alone)
+    rows = learners._RowSchedule(sched.geometry, np.full((2, 1), sched.eta), sched.beta,
+                                 sched.epsilon0)
+    g = np.array([[n, 0.25, -0.5], [0.125, -n, 1.0]])
+    stack, _ = learners.omd_step(stack, g, rows)
+    for j in range(2):
+        st, _ = learners.omd_step(alone[j], g[j], sched)
+        assert np.float64(st.sum_sq).tobytes() == stack.sum_sq[j].tobytes()
+        assert st.sum_sq == np.float64(n) ** 2
