@@ -23,14 +23,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .. import learners as core
-from .. import spectral
 from ..accelerate import Accelerator
-from ..baselines import AdaFtrl, AdaGrad, DiagProxState, _diag_step, _RowBalls
+from ..baselines import DiagProxState, _diag_step, _Diagonal, _RowBalls
 from ..entropy import NumericRangeError
-from ..learners import ExpFtrl, ExpMd, FtrlState, Learner, OmdState, _RowSchedule
+from ..learners import FtrlState, Learner, OmdState, _Exponentiated, _looked_up, _RowSchedule
 from ..prox import BallConstraint
-from ..spectral import SpectralExpFtrl, SpectralExpMd, SvdFactors
+from ..spectral import SvdFactors
 from ..zeroth_order import default_smoothing, two_point_grad_rows
 from . import registry, streams
 
@@ -64,15 +62,6 @@ _ROWS = {
     DiagProxState: ("h_diag", "g_accum", "x", "h_prev"),
     OmdState: ("x", "sum_sq", "h_prev", "factor"),
     FtrlState: ("g_accum", "x1", "anchor_dual", "sum_sq", "h_prev"),
-}
-_DIAGONAL = (AdaGrad, AdaFtrl, registry._DiagNuclear)
-# each exponentiated learner's step, looked up when a stack is built, so that a wrapper of it
-# sees the stacked steps too
-_EXPONENTIATED = {
-    ExpMd: (core, "omd_step"),
-    ExpFtrl: (core, "ftrl_step"),
-    SpectralExpMd: (spectral, "spectral_omd_step"),
-    SpectralExpFtrl: (spectral, "spectral_ftrl_step"),
 }
 _INTEGER_FIELDS = ("dim", "horizon", "trials", "tasks", "rank", "seed")
 
@@ -167,18 +156,21 @@ class TrialFailure:
 
 def _stack_key(learner):
     """What runs must share to step as the rows of one :func:`_stack`, or ``None`` for a run
-    that steps alone.  Only the registry's own learners stack, with their class's step and
-    on a ball: AdaGrad and AdaFtrl together, vector or matrix, and the exponentiated ones
-    by class, schedule geometry and shape, ``beta`` and ``epsilon0``."""
+    that steps alone.  Only the classes that declare their step (``_step_at``) and the
+    registry's matrix baseline stack, unpatched and on a ball: AdaGrad and AdaFtrl together,
+    vector or matrix, and the exponentiated ones by class, schedule geometry and shape,
+    ``beta`` and ``epsilon0``."""
     kind = type(learner)
     if "step" in vars(learner) or not isinstance(getattr(learner, "mode", None), BallConstraint):
         return None
-    if kind in _DIAGONAL:
-        return "matrix diagonal" if kind is registry._DiagNuclear else "diagonal"
-    if kind in _EXPONENTIATED:
-        s = learner.sched
-        return kind, s.geometry, s.geometry.shape(s), s.beta, s.epsilon0
-    return None
+    if kind is registry._DiagNuclear:
+        return "matrix diagonal"
+    if "_step_at" not in vars(kind):  # a subclass steps alone, through its own ``step``
+        return None
+    if issubclass(kind, _Diagonal):
+        return "diagonal"
+    s = learner.sched
+    return kind, s.geometry, s.geometry.shape(s), s.beta, s.epsilon0
 
 
 def _stacked(values):
@@ -208,11 +200,11 @@ def _stack(learners) -> Learner:
     state = replace(first.state, **rows)
     radii = np.array([[lrn.mode.radius] for lrn in learners])
     x = np.stack([lrn.x for lrn in learners])
-    if type(first) in _EXPONENTIATED:
+    if isinstance(first, _Exponentiated):
         one = first.sched
         sched = _RowSchedule(one.geometry, np.array([[lrn.sched.eta] for lrn in learners]),
                              one.beta, one.epsilon0)
-        step = getattr(*_EXPONENTIATED[type(first)])
+        step = _looked_up(first._step_at)  # when the stack is built: a wrapper sees its steps
         balls = _RowBalls(radii)
         return Learner(state, x, lambda s, g, h, w: step(s, g, sched, balls, h, w))
     leader = np.array([[lrn.leader] for lrn in learners])

@@ -19,9 +19,11 @@ here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  The
 same bodies step a stack of runs that share a geometry, ``beta`` and
 ``epsilon0``, in the free space or on balls, with a leading row axis on every
 array and one ``eta``, ``sum_sq`` and ``alpha`` per row; each row keeps the
-bits it has stepped alone.  Every
-learner's step, these and the baselines', checks its inputs in one place,
-:func:`_inputs`, and runs under one floating-point guard.  A non-finite
+bits it has stepped alone.  :class:`Learner` is the base of every stateful
+learner; :class:`ExpMd`, :class:`ExpFtrl` and their spectral twins share one
+constructor and declare only their init and where their step is looked up.
+Every learner's step, these and the baselines', checks its inputs in one
+place, :func:`_inputs`, and runs under one floating-point guard.  A non-finite
 gradient, hint or regularizer weight, an overflow, invalid operation or
 division by zero in the step, or an adaptive scale outside ``(0, inf)``
 raises :class:`NumericRangeError`, and a negative regularizer weight
@@ -29,6 +31,7 @@ raises :class:`NumericRangeError`, and a negative regularizer weight
 """
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -374,21 +377,32 @@ class Learner:
         return self._x
 
 
-class ExpMd(Learner):
+def _looked_up(at):
+    """The function at ``(module name, attribute)``, looked up now: a wrapper installed there
+    after a learner was built is the one its next step calls."""
+    module, name = at
+    return getattr(sys.modules[module], name)
+
+
+class _Exponentiated(Learner):
+    """An exponentiated learner on either schedule, starting at the anchor ``x1``; each class
+    declares its state's ``_init`` and ``_step_at``, where its step is looked up on every call
+    (the harness steps a stack of the class's runs through it too)."""
+
+    def __init__(self, sched, mode: FeasibleMode = None, x1=None):
+        self.sched, self.mode, at = sched, mode, self._step_at
+        state = self._init(sched, x1)
+        x = state.x if isinstance(state, OmdState) else state.x1.copy()  # a leader keeps x1
+        super().__init__(state, x, lambda s, g, h, w: _looked_up(at)(s, g, sched, mode, h, w))
+
+
+class ExpMd(_Exponentiated):
     """Stateful mirror-descent learner over :func:`omd_step`, on either schedule."""
 
-    def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
-        self.sched, self.mode = sched, mode
-        state = omd_init(sched, x1)
-        super().__init__(state, state.x, lambda s, g, h, w: omd_step(s, g, sched, mode, h, w))
+    _init, _step_at = staticmethod(omd_init), (__name__, "omd_step")
 
 
-class ExpFtrl(Learner):
+class ExpFtrl(_Exponentiated):
     """Stateful leader-following learner over :func:`ftrl_step`, on either schedule."""
 
-    def __init__(self, sched: ScheduleParams, mode: FeasibleMode = None, x1=None):
-        self.sched, self.mode = sched, mode
-        state = ftrl_init(sched, x1)
-        super().__init__(
-            state, state.x1.copy(), lambda s, g, h, w: ftrl_step(s, g, sched, mode, h, w)
-        )
+    _init, _step_at = staticmethod(ftrl_init), (__name__, "ftrl_step")

@@ -11,8 +11,10 @@ vector operation to the spectrum, and recomposes:
   which the learners of :mod:`expopt.learners` run on matrices.
 
 ``spectral_omd_*``/``spectral_ftrl_*`` are those learners' entry points under
-their spectral names; mirror-descent states carry the factors of the current
-iterate, so each step costs a single decomposition of the dual matrix.
+their spectral names, and :class:`SpectralExpMd`/:class:`SpectralExpFtrl` the
+learners' constructor declared over them; mirror-descent states carry the
+factors of the current iterate, so each step costs a single decomposition of
+the dual matrix.
 """
 
 from dataclasses import dataclass
@@ -21,14 +23,8 @@ import numpy as np
 
 from . import learners
 from .entropy import EntropyParams, NumericRangeError, entropy, mirror_map
-from .learners import Geometry, Learner
-from .prox import (
-    BallConstraint,
-    CompositeRegularizer,
-    FeasibleMode,
-    elastic_net_prox,
-    l1_ball_project,
-)
+from .learners import Geometry
+from .prox import BallConstraint, CompositeRegularizer, elastic_net_prox, l1_ball_project
 
 __all__ = [
     "SvdFactors",
@@ -212,23 +208,13 @@ spectral_ftrl_init = learners.ftrl_init
 spectral_ftrl_step = learners.ftrl_step
 
 
-class SpectralExpMd(Learner):
+class SpectralExpMd(learners._Exponentiated):
     """Stateful spectral mirror-descent learner."""
 
-    def __init__(self, sched: SpectralSchedule, mode: FeasibleMode = None, x1=None):
-        self.sched, self.mode = sched, mode
-        state = spectral_omd_init(sched, x1)
-        super().__init__(
-            state, state.x, lambda s, g, h, w: spectral_omd_step(s, g, sched, mode, h, w)
-        )
+    _init, _step_at = staticmethod(spectral_omd_init), (__name__, "spectral_omd_step")
 
 
-class SpectralExpFtrl(Learner):
+class SpectralExpFtrl(learners._Exponentiated):
     """Stateful spectral leader-following learner."""
 
-    def __init__(self, sched: SpectralSchedule, mode: FeasibleMode = None, x1=None):
-        self.sched, self.mode = sched, mode
-        state = spectral_ftrl_init(sched, x1)
-        super().__init__(
-            state, state.x1.copy(), lambda s, g, h, w: spectral_ftrl_step(s, g, sched, mode, h, w)
-        )
+    _init, _step_at = staticmethod(spectral_ftrl_init), (__name__, "spectral_ftrl_step")
