@@ -10,8 +10,8 @@ run steps alone.  A blackbox trial is one block.  A side-effecting oracle
 sees the runs interleaved.  Runs keep floats; :func:`run_experiment` makes rows.
 Rows are sorted by (algorithm, trial, round), floats written in their shortest
 round-trip form, so equal configurations give byte-identical CSV files.  A
-numeric error, or a non-finite loss, regret or objective, ends that
-algorithm's trial with a :class:`TrialFailure` at the round, with no row.
+numeric error of an oracle, step or objective, or a non-finite loss, regret or objective,
+ends only its own run, stacked or alone, with a :class:`TrialFailure` at the round, no row.
 """
 
 import functools
@@ -55,7 +55,7 @@ KINDS = {
 RADIUS_FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 
 _NUMERIC_ERRORS = (NumericRangeError, FloatingPointError, np.linalg.LinAlgError)
-# bytes of one array of a stacked state: 8 rows at d=500, 1 from d=4000 up, 40 at 20x5
+# bytes of one array of a stacked state: 8 rows at d=500, 1 from d=2001 up, 40 at 20x5
 _STACK_BYTES = 32_000
 # the fields of each state with one row per stacked run
 _ROWS = {
@@ -216,9 +216,9 @@ def _stack(learners) -> Learner:
 
 def _regrets(learners, oracle, *rounds):
     """Cumulative regret of each run, one round iterator each, checked before it steps: per
-    round, each live run's value or the error that ends it.  Two or more learners step as one
-    :func:`_stack`; a stacked step that raises is replayed row by row through each learner's
-    own ``step``, as the row alone, which is how a lone learner always steps."""
+    round, each live run's value or the numeric error (oracle, regret or step) that ends it.
+    Two or more learners step as one :func:`_stack`; at a round where a row ends, each row is
+    replayed through its learner's own ``step``, as the row alone, like a lone learner."""
     live, cums = list(range(len(learners))), [0.0] * len(learners)
     stack = _stack(learners) if len(learners) > 1 else None
 
@@ -226,11 +226,14 @@ def _regrets(learners, oracle, *rounds):
         x, y, comp_loss = next(rounds[i])
         # the decision lives in this call only: held across a yield, it would outlive its
         # round while the other groups play
-        loss, grad = oracle(learners[i].x if stack is None else stack.x[j], x, y)
-        cums[i] += loss - comp_loss
-        if math.isfinite(cums[i]):
-            return cums[i], grad
-        return NumericRangeError(f"cumulative regret is not finite ({cums[i]})"), None
+        try:
+            loss, grad = oracle(learners[i].x if stack is None else stack.x[j], x, y)
+            cums[i] += loss - comp_loss
+            if not math.isfinite(cums[i]):
+                raise NumericRangeError(f"cumulative regret is not finite ({cums[i]})")
+        except _NUMERIC_ERRORS as exc:
+            return exc, None
+        return cums[i], grad
 
     while live:
         values, grads = [], []
@@ -262,36 +265,35 @@ def _regrets(learners, oracle, *rounds):
 
 
 def _objectives(name, batch, spec, problem, seed_seq, rounds):
-    """Objective value at the accelerated learner's averaged point, each round."""
-    rng = np.random.default_rng(seed_seq)
-    mu = default_smoothing(spec.dim, max(spec.horizon, 1))
-    learner, recipe = registry.accelerated_family(name, spec.dim, problem.reg)
-    cfg = recipe(mu, batch)
-    acc = Accelerator(learner)
-    for _ in rounds:
-        z = acc.step(lambda v: two_point_grad_rows(problem.smooth, v, cfg, rng))
-        value = problem.objective(z)
-        if not math.isfinite(value):
-            raise NumericRangeError(f"objective value is not finite ({value})")
-        yield [value]
+    """Objective at the accelerated learner's averaged point each round, or its numeric error."""
+    try:
+        rng = np.random.default_rng(seed_seq)
+        mu = default_smoothing(spec.dim, max(spec.horizon, 1))
+        learner, recipe = registry.accelerated_family(name, spec.dim, problem.reg)
+        cfg = recipe(mu, batch)
+        acc = Accelerator(learner)
+        for _ in rounds:
+            z = acc.step(lambda v: two_point_grad_rows(problem.smooth, v, cfg, rng))
+            value = problem.objective(z)
+            if not math.isfinite(value):
+                raise NumericRangeError(f"objective value is not finite ({value})")
+            yield [value]
+    except _NUMERIC_ERRORS as exc:
+        yield [exc]
 
 
 def _collect(groups, blocks):
     """Each run's ``[label, trial, values, failure]``, the groups advancing block by block.
 
     A group ``(runs, play)`` names its runs' ``(label, trial)``; ``play(*rounds)`` yields each
-    live run's value or ending error per round, or raises to end them all.  ``blocks`` maps each
-    trial to its equal-sized blocks, the next drawn when the first group reading it plays it.
+    live run's value per round, or once the numeric error that ends it, and raises none.
+    ``blocks`` maps each trial to its equal-sized blocks, each drawn by the first group reading it.
     """
     held, results, going = {}, [], []
 
     def rounds_of(trial):  # a run reads each block when it reaches it
         while True:
             yield from zip(*held[trial])
-
-    def end(rows, row, exc):
-        row[3] = TrialFailure(row[0], row[1], len(row[2]) + 1, str(exc))
-        rows.remove(row)
 
     for runs, play in groups:
         rows = [[label, trial, [], None] for label, trial in runs]
@@ -309,16 +311,13 @@ def _collect(groups, blocks):
             block = held[min(trials)]
             if block is None:
                 return results
-            try:
-                for outcome in itertools.islice(outcomes, len(block[0])):
-                    for row, value in zip(list(rows), outcome):
-                        if isinstance(value, Exception):
-                            end(rows, row, value)
-                        else:
-                            row[2].append(float(value))
-            except _NUMERIC_ERRORS as exc:  # a generator that raises ends its runs
-                for row in list(rows):
-                    end(rows, row, exc)
+            for outcome in itertools.islice(outcomes, len(block[0])):
+                for row, value in zip(list(rows), outcome):
+                    if isinstance(value, Exception):
+                        row[3] = TrialFailure(row[0], row[1], len(row[2]) + 1, str(value))
+                        rows.remove(row)
+                    else:
+                        row[2].append(float(value))
 
 
 def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:

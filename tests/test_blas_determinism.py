@@ -6,11 +6,14 @@ sum of the reduction over the two halves.  The CLI pins OpenBLAS to one
 thread for its run and records the pin in the sidecar.
 """
 
+import ctypes
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -128,3 +131,52 @@ def test_main_pins_one_thread_and_restores_the_count(tmp_path, capsys):
 def test_sidecar_records_nulls_without_a_pin(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_openblas", lambda: None)
     assert small_run(tmp_path) == {"library": None, "threads_before": None, "threads": None}
+
+
+class TestOpenblasLookup:
+    """``_openblas``'s fallbacks, with ``open`` and ``ctypes.CDLL`` replaced by fakes: the
+    process's own OpenBLAS is never loaded, so its thread count stays as it was."""
+
+    @pytest.fixture(autouse=True)
+    def threads_unchanged(self):
+        blas = cli._openblas()
+        before = blas and blas[1]()
+        yield
+        assert (blas and blas[1]()) == before
+
+    @staticmethod
+    def fake(monkeypatch, libraries):
+        """``/proc/self/maps`` lists ``libraries``, a ``{path: exported names}``; a path
+        exporting ``None`` does not load."""
+        maps = "".join(f"7f00-7f01 r-xp 00000000 08:01 42 {path}\n" for path in libraries)
+
+        def load(path):
+            if libraries[path] is None:
+                raise OSError(f"{path}: cannot open shared object file")
+            return types.SimpleNamespace(**{n: types.SimpleNamespace() for n in libraries[path]})
+
+        monkeypatch.setattr(cli, "open", lambda path: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+
+    def test_unreadable_maps_give_none(self, monkeypatch):
+        def unreadable(path):
+            raise PermissionError(f"cannot read {path}")
+
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        assert cli._openblas() is None
+
+    def test_a_library_that_does_not_load_is_skipped(self, monkeypatch):
+        pair = ("openblas_get_num_threads", "openblas_set_num_threads")
+        self.fake(monkeypatch, {"/a/libopenblas.so.0": None, "/b/libopenblas.so.0": pair})
+        path, get, set_ = cli._openblas()
+        assert path == "/b/libopenblas.so.0"
+        assert (get.argtypes, get.restype) == ([], ctypes.c_int)
+        assert (set_.argtypes, set_.restype) == ([ctypes.c_int], None)
+
+    def test_no_getter_and_setter_pair_gives_none(self, monkeypatch):
+        self.fake(monkeypatch, {
+            "/a/libopenblas.so.0": ("openblas_get_num_threads",),
+            "/b/libopenblas64_.so.0": ("openblas_get_num_threads64_", "openblas_set_num_threads"),
+            "/c/libcblas.so.3": (),
+        })
+        assert cli._openblas() is None

@@ -487,3 +487,48 @@ def test_a_stack_squares_each_norm_by_the_float_power_as_alone():
         st, _ = learners.omd_step(alone[j], g[j], sched)
         assert np.float64(st.sum_sq).tobytes() == stack.sum_sq[j].tobytes()
         assert st.sum_sq == np.float64(n) ** 2
+
+
+# a failing oracle ends each run of its trial at its round, whether the run is a row of a
+# stack (the exponentiated, spectral and diagonal runs) or steps alone (``eg_pm``)
+@pytest.mark.parametrize("error", [NumericRangeError, np.linalg.LinAlgError])
+@pytest.mark.parametrize("kind", ["logistic", "multitask"])
+def test_an_oracle_error_ends_only_the_runs_of_its_trial(monkeypatch, kind, error):
+    k, horizon = 7, 40
+    seed = np.random.SeedSequence(11).spawn(3)[1]
+    if kind == "logistic":
+        spec = ExperimentSpec(kind="logistic", dim=20, horizon=horizon, trials=3, seed=11,
+                              algorithms=("exp_md", "exp_ftrl", "adagrad", "adaftrl", "eg_pm"))
+        data = gen_logistic_stream(20, horizon, spec.sparsity, np.random.default_rng(seed))
+        name, steps = "logistic_loss_grad", ("omd_step", "ftrl_step")
+    else:
+        spec = ExperimentSpec(kind="multitask", dim=6, tasks=3, rank=2, horizon=horizon,
+                              trials=3, sparsity=0.0, seed=11,
+                              algorithms=("spectral_exp_md", "spectral_exp_ftrl", "adagrad",
+                                          "adaftrl"))
+        data = gen_multitask_stream(6, 3, 2, horizon, np.random.default_rng(seed))
+        name, steps = "multitask_loss_grad", ("spectral_omd_step", "spectral_ftrl_step")
+    clean, no_failures = run_experiment(spec)
+    assert not no_failures
+    oracle = getattr(streams, name)
+
+    def raising(w, f, y):  # trial 1's round k, for every run
+        if np.array_equal(f, data.features[k - 1]):
+            raise error(f"oracle failed at round {k}")
+        return oracle(w, f, y)
+
+    monkeypatch.setattr(streams, name, raising)
+    rows = exponentiated_steps(monkeypatch)
+    records, failures = run_experiment(spec)
+    assert failures == [TrialFailure(algorithm, 1, k, f"oracle failed at round {k}")
+                        for algorithm in sorted(spec.algorithms)]
+    # three rows until the failure, the two live rows alone at it, then two rows as one stack
+    assert rows == {step: [3] * (k - 1) + [1, 1] + [2] * (horizon - k) for step in steps}
+
+    def run(recs, algorithm, trial):
+        return [repr(r) for r in recs if (r.algorithm, r.trial) == (algorithm, trial)]
+
+    for algorithm in spec.algorithms:
+        assert run(records, algorithm, 1) == run(clean, algorithm, 1)[: k - 1]
+        for trial in (0, 2):
+            assert run(records, algorithm, trial) == run(clean, algorithm, trial)

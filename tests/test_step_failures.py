@@ -520,3 +520,41 @@ def test_an_accumulated_reg_weight_that_overflows_is_a_numeric_error(name):
     with pytest.raises(NumericRangeError):
         learner.step(np.ones(4), reg_weight=1e308)
     assert learner.state is state
+
+
+@pytest.mark.parametrize("algorithms", [("exp_md", "adagrad"), ("eg_pm",)])
+def test_a_misshapen_gradient_from_the_oracle_is_not_a_trial_failure(monkeypatch, algorithms):
+    # a shape error is a bug, not a numeric failure: it leaves the harness, stacked or alone
+    clean = streams.logistic_loss_grad
+
+    def misshapen(w, x, y):
+        loss, grad = clean(w, x, y)
+        return loss, grad[:-1]
+
+    monkeypatch.setattr(streams, "logistic_loss_grad", misshapen)
+    spec = ExperimentSpec(kind="logistic", dim=8, horizon=5, trials=2, sparsity=0.5,
+                          algorithms=algorithms, seed=21)
+    with pytest.raises(ValueError):
+        run_experiment(spec)
+
+
+def test_a_numeric_error_in_a_blackbox_setup_ends_only_its_run(monkeypatch):
+    spec = ExperimentSpec(kind="blackbox", dim=4, horizon=9, trials=2, sparsity=0.0,
+                          algorithms=("acc_exp_md", "acc_adagrad"), seed=3)
+    clean, _ = run_experiment(spec)
+    real, built = registry.accelerated_family, []
+
+    def family(name, dim, reg):  # the first acc_adagrad built: trial 0 at batch 1
+        built.append(name)
+        if name == "acc_adagrad" and built.count(name) == 1:
+            raise NumericRangeError("no learner")
+        return real(name, dim, reg)
+
+    monkeypatch.setattr(registry, "accelerated_family", family)
+    records, failures = run_experiment(spec)
+    assert [(f.algorithm, f.trial, f.round, f.error) for f in failures] == [
+        ("acc_adagrad@b1", 0, 1, "no learner")
+    ]
+    assert [repr(r) for r in records] == [
+        repr(r) for r in clean if (r.algorithm, r.trial) != ("acc_adagrad@b1", 0)
+    ]
