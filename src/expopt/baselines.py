@@ -9,8 +9,8 @@ l1 ball: a scan of the sorted breakpoints of its dual variable, which at
 large dimension first discards coordinates that a cheap lower bound on the
 threshold proves inactive.  Both also take stacks of rows ``(rows, d)``, each
 row bit for bit as alone, so that one call does the numpy work of many runs.
-``AdaGrad`` and ``AdaFtrl`` share one constructor; each declares its step and
-``leader``, whether it follows the accumulated gradients.
+``AdaGrad`` and ``AdaFtrl`` share one constructor and stack together; each
+declares its ``_step`` and ``leader``, whether it follows the accumulated gradients.
 
 The signed multiplicative-weights learner maintains 2d nonnegative weights
 of total mass D; its decision is the difference of the positive and
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import NumericRangeError, _range_guard
-from .learners import Learner, _add_square, _anchor, _checked, _inputs, _looked_up
+from .learners import Learner, _add_square, _anchor, _checked, _inputs, _Stacking
 from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
 from .spectral import _project_spectrum
 
@@ -322,26 +322,33 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     return new_state, x
 
 
+def _diagonal_rows(learners, balls):  # one leader flag per row
+    leader = np.array([[lrn.leader] for lrn in learners])
+    return lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader)
+
+
 class _Diagonal(Learner):
-    """A diagonal baseline on its feasibility ``mode``; each class declares ``leader`` and
-    ``_step_at``, where its step is looked up on every call."""
+    """A diagonal baseline on its feasibility ``mode``; each class declares ``leader`` and its
+    ``_step``, which finds the step in this module when it is called."""
+
+    _stacking = _Stacking(lambda learner: (), _diagonal_rows)
 
     def __init__(self, dim: int, mode: FeasibleMode = None, x1=None):
-        self.mode, at = mode, self._step_at
+        self.mode, step = mode, self._step
         state = diag_init(dim, x1)
-        super().__init__(state, state.x, lambda s, g, h, w: _looked_up(at)(s, g, mode, h, w))
+        super().__init__(state, state.x, lambda s, g, h, w: step(s, g, mode, h, w))
 
 
 class AdaGrad(_Diagonal):
     """Stateful diagonal mirror-descent baseline on its feasibility ``mode``."""
 
-    leader, _step_at = False, (__name__, "adagrad_step")
+    leader, _step = False, staticmethod(lambda *a: adagrad_step(*a))
 
 
 class AdaFtrl(_Diagonal):
     """Stateful diagonal leader-following baseline on its feasibility ``mode``."""
 
-    leader, _step_at = True, (__name__, "adaftrl_step")
+    leader, _step = True, staticmethod(lambda *a: adaftrl_step(*a))
 
 
 class EgPm(Learner):

@@ -10,6 +10,7 @@ A run pins OpenBLAS to one thread and restores its thread count on exit.
 import argparse
 import ctypes
 import json
+import os
 import sys
 
 from . import __version__
@@ -148,6 +149,11 @@ def _run(args, blas: dict | None) -> int:
 
     try:
         spec = _load_spec(args)
+        folder = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):  # found before any trial runs, not by write_csv after them
+            raise ValueError(f"--out {args.out!r} is a directory")
+        if not os.path.isdir(folder):
+            raise ValueError(f"--out directory {folder!r} does not exist")
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

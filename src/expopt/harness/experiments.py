@@ -3,15 +3,15 @@
 Every trial draws its own child of ``SeedSequence(seed)`` and generates its
 data block by block.  All runs of all trials of a spec advance together, a
 block of rounds at a time, through one round loop; the trials share
-``streams.BLOCK_BYTES`` of features.  The AdaGrad and AdaFtrl runs, vector or
-matrix, step as the rows of stacked states, and so do the exponentiated runs of
-each algorithm, vector or spectral, each row bit for bit as alone; every other
-run steps alone.  A blackbox trial is one block.  A side-effecting oracle
-sees the runs interleaved.  Runs keep floats; :func:`run_experiment` makes rows.
-Rows are sorted by (algorithm, trial, round), floats written in their shortest
-round-trip form, so equal configurations give byte-identical CSV files.  A
-numeric error of an oracle, step or objective, or a non-finite loss, regret or objective,
-ends only its own run, stacked or alone, with a :class:`TrialFailure` at the round, no row.
+``streams.BLOCK_BYTES`` of features.  The runs of a learner family that declares
+its ``_stacking`` step as the rows of one state, which share only ``round`` and
+``reg_rounds``, each row bit for bit as alone; every other run steps alone.  A
+blackbox trial is one block.  A side-effecting oracle sees the runs interleaved.
+Runs keep floats; :func:`run_experiment` makes rows, sorted by (algorithm, trial,
+round), floats written in their shortest round-trip form, so equal configurations
+give byte-identical CSV files.  A numeric error of an oracle, step or objective,
+or a non-finite loss, regret or objective, ends only its own run, stacked or
+alone, with a :class:`TrialFailure` at the round, no row.
 """
 
 import functools
@@ -19,16 +19,15 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from ..accelerate import Accelerator
-from ..baselines import DiagProxState, _diag_step, _Diagonal, _RowBalls
+from ..baselines import _RowBalls
 from ..entropy import NumericRangeError
-from ..learners import FtrlState, Learner, OmdState, _Exponentiated, _looked_up, _RowSchedule
+from ..learners import Learner
 from ..prox import BallConstraint
-from ..spectral import SvdFactors
 from ..zeroth_order import default_smoothing, two_point_grad_rows
 from . import registry, streams
 
@@ -57,12 +56,7 @@ RADIUS_FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 _NUMERIC_ERRORS = (NumericRangeError, FloatingPointError, np.linalg.LinAlgError)
 # bytes of one array of a stacked state: 8 rows at d=500, 1 from d=2001 up, 40 at 20x5
 _STACK_BYTES = 32_000
-# the fields of each state with one row per stacked run
-_ROWS = {
-    DiagProxState: ("h_diag", "g_accum", "x", "h_prev"),
-    OmdState: ("x", "sum_sq", "h_prev", "factor"),
-    FtrlState: ("g_accum", "x1", "anchor_dual", "sum_sq", "h_prev"),
-}
+_SHARED = ("round", "reg_rounds")  # the only state fields the rows of a stack share
 _INTEGER_FIELDS = ("dim", "horizon", "trials", "tasks", "rank", "seed")
 
 
@@ -156,62 +150,45 @@ class TrialFailure:
 
 def _stack_key(learner):
     """What runs must share to step as the rows of one :func:`_stack`, or ``None`` for a run
-    that steps alone.  Only the classes that declare their step (``_step_at``) and the
-    registry's matrix baseline stack, unpatched and on a ball: AdaGrad and AdaFtrl together,
-    vector or matrix, and the exponentiated ones by class, schedule geometry and shape,
-    ``beta`` and ``epsilon0``."""
+    that steps alone: their family's ``_stacking``, state type, decision shape and the family's
+    key.  A run stacks only unpatched, on a ball, and of a class that declares its own ``_step``
+    or ``_stacking``: a subclass steps alone, through its own ``step``."""
     kind = type(learner)
-    if "step" in vars(learner) or not isinstance(getattr(learner, "mode", None), BallConstraint):
+    declared = "step" not in vars(learner) and vars(kind).keys() & {"_step", "_stacking"}
+    family = getattr(kind, "_stacking", None) if declared else None
+    if family is None or not isinstance(getattr(learner, "mode", None), BallConstraint):
         return None
-    if kind is registry._DiagNuclear:
-        return "matrix diagonal"
-    if "_step_at" not in vars(kind):  # a subclass steps alone, through its own ``step``
-        return None
-    if issubclass(kind, _Diagonal):
-        return "diagonal"
-    s = learner.sched
-    return kind, s.geometry, s.geometry.shape(s), s.beta, s.epsilon0
+    return family, type(learner.state), np.shape(learner.x), family.key(learner)
 
 
 def _stacked(values):
-    """One state field of runs stacked: arrays and floats row by row, factors part by part."""
-    if values[0] is None:  # a vector mirror-descent factor, rebuilt from ``x``
+    """Runs' states, or one field of them, as the rows of one, field by field but ``_SHARED``."""
+    first = values[0]
+    if first is None:  # a vector mirror-descent factor, rebuilt from ``x``
         return None
-    if isinstance(values[0], SvdFactors):
-        return SvdFactors(*map(np.stack, zip(*((f.u, f.s, f.vt) for f in values))))
+    if is_dataclass(first):
+        return replace(first, **{f.name: _stacked([getattr(v, f.name) for v in values])
+                                 for f in fields(first) if f.name not in _SHARED})
     return np.stack(values)
 
 
 def _row(value, j):
-    """Row ``j`` of a stacked state field, as the run alone holds it."""
+    """Row ``j`` of a stacked state, or of one field of it, as the run alone holds it."""
     if value is None:
         return None
-    if isinstance(value, SvdFactors):
-        return SvdFactors(value.u[j], value.s[j], value.vt[j])
+    if is_dataclass(value):
+        return replace(value, **{f.name: _row(getattr(value, f.name), j)
+                                 for f in fields(value) if f.name not in _SHARED})
     return value[j] if value.ndim > 1 else float(value[j])
 
 
 def _stack(learners) -> Learner:
     """Learners that started together and share a :func:`_stack_key`, as one learner with
-    their rows."""
-    first = learners[0]
-    fields = _ROWS[type(first.state)]
-    rows = {f: _stacked([getattr(lrn.state, f) for lrn in learners]) for f in fields}
-    state = replace(first.state, **rows)
-    radii = np.array([[lrn.mode.radius] for lrn in learners])
+    their rows, stepped as the first one's family declares."""
+    balls = _RowBalls(np.array([[lrn.mode.radius] for lrn in learners]))
+    advance = learners[0]._stacking.advance(learners, balls)
     x = np.stack([lrn.x for lrn in learners])
-    if isinstance(first, _Exponentiated):
-        one = first.sched
-        sched = _RowSchedule(one.geometry, np.array([[lrn.sched.eta] for lrn in learners]),
-                             one.beta, one.epsilon0)
-        step = _looked_up(first._step_at)  # when the stack is built: a wrapper sees its steps
-        balls = _RowBalls(radii)
-        return Learner(state, x, lambda s, g, h, w: step(s, g, sched, balls, h, w))
-    leader = np.array([[lrn.leader] for lrn in learners])
-    if isinstance(first, registry._DiagNuclear):
-        return Learner(state, x, registry._nuclear_rows(*x.shape[1:], radii, leader))
-    balls = _RowBalls(radii)
-    return Learner(state, x, lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader))
+    return Learner(_stacked([lrn.state for lrn in learners]), x, advance)
 
 
 def _regrets(learners, oracle, *rounds):
@@ -250,9 +227,7 @@ def _regrets(learners, oracle, *rounds):
         if not stepped:  # each row alone, through its learner
             for j, (i, grad) in enumerate(zip(live, grads)):
                 if stack is not None:
-                    st = stack.state
-                    rows = {f: _row(getattr(st, f), j) for f in _ROWS[type(st)]}
-                    learners[i].state = replace(st, **rows)
+                    learners[i].state = _row(stack.state, j)
                 try:
                     if grad is not None:
                         learners[i].step(grad)
@@ -324,10 +299,8 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
     """The results of the trials ``{trial: seed sequence}``, advancing together block by block.
 
     The trials share ``streams.BLOCK_BYTES`` of data, multitask ones at most a quarter of one
-    trial's stream.  The registry's unwrapped runs that share a :func:`_stack_key`, in order,
-    form groups of up to ``_STACK_BYTES`` an array: the AdaGrad and AdaFtrl runs, and the
-    ``exp_md``, ``exp_ftrl``, ``spectral_exp_md`` and ``spectral_exp_ftrl`` runs by algorithm;
-    every other run is a group of one.
+    trial's stream.  The runs that share a :func:`_stack_key`, in order, form groups of up to
+    ``_STACK_BYTES`` an array; every other run is a group of one.
     """
     runs, groups, blocks = [], [], {}
     budget = streams.BLOCK_BYTES // len(seeds)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import baselines
 from ..baselines import AdaFtrl, AdaGrad, EgPm, diag_init, euclidean_nuclear_ball_project
-from ..learners import ExpFtrl, ExpMd, Learner, ScheduleParams, _checked
+from ..learners import ExpFtrl, ExpMd, Learner, ScheduleParams, _checked, _Stacking
 from ..prox import BallConstraint, CompositeRegularizer
 from ..spectral import SpectralExpFtrl, SpectralExpMd, SpectralSchedule
 from ..zeroth_order import rademacher_config, sphere_config
@@ -73,7 +73,10 @@ def _nuclear_rows(m: int, n: int, radius, leader):
 
 
 class _DiagNuclear(Learner):
-    """The matrix ``adagrad`` or ``adaftrl``: :func:`_nuclear_rows` of one run."""
+    """The matrix ``adagrad`` or ``adaftrl``: :func:`_nuclear_rows` of one run, or of a stack."""
+
+    _stacking = _Stacking(lambda learner: (), lambda rows, balls: _nuclear_rows(
+        *rows[0].x.shape, balls.radius, np.array([[lrn.leader] for lrn in rows])))
 
     def __init__(self, name: str, m: int, n: int, ball: BallConstraint):
         self.mode, self.leader = ball, name == "adaftrl"

@@ -5,7 +5,7 @@ the elastic-net proximal step, a log-domain variant solving
 ``w + ln(w) = s`` for ``z = exp(s)`` that never materializes ``exp(s)``.
 The proximal argument ``a*b*exp(a*b - c)`` overflows float64 whenever
 ``-c`` is a few hundred, which happens routinely for adaptive stepsizes,
-so all production call-sites go through :func:`lambert_w0_from_log`.
+so the elastic-net prox and :func:`lambert_w0_from_log` call :func:`_w0_log_array`.
 """
 
 from dataclasses import dataclass

@@ -21,7 +21,9 @@ same bodies step a stack of runs that share a geometry, ``beta`` and
 array and one ``eta``, ``sum_sq`` and ``alpha`` per row; each row keeps the
 bits it has stepped alone.  :class:`Learner` is the base of every stateful
 learner; :class:`ExpMd`, :class:`ExpFtrl` and their spectral twins share one
-constructor and declare only their init and where their step is looked up.
+constructor and declare only their init and ``_step``, which finds the step in
+its module when called.  A family declares how its runs stack in one ``_Stacking``;
+the rows of a stack share only ``round`` and ``reg_rounds``.
 Every learner's step, these and the baselines', checks its inputs in one
 place, :func:`_inputs`, and runs under one floating-point guard.  A non-finite
 gradient, hint or regularizer weight, an overflow, invalid operation or
@@ -31,7 +33,6 @@ raises :class:`NumericRangeError`, and a negative regularizer weight
 """
 
 import math
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -122,6 +123,10 @@ def _fill_schedule(sched, k: int) -> None:
 # The schedule of runs stepped as the rows of one state: one ``eta`` per row,
 # ``(rows, 1)``, and the ``geometry``, ``beta`` and ``epsilon0`` the rows share.
 _RowSchedule = namedtuple("_RowSchedule", "geometry eta beta epsilon0")
+
+# How a family's runs stack: ``key(learner)``, what they share besides the family, state type
+# and shape, and ``advance(learners, balls)``, their stack's step rule, radii as ``_RowBalls``.
+_Stacking = namedtuple("_Stacking", "key advance")
 
 # The entropy parameters of stacked runs, one ``alpha`` per row ``(rows, 1)``, each
 # checked by ``_run_scale`` (``EntropyParams`` checks a float).
@@ -377,32 +382,36 @@ class Learner:
         return self._x
 
 
-def _looked_up(at):
-    """The function at ``(module name, attribute)``, looked up now: a wrapper installed there
-    after a learner was built is the one its next step calls."""
-    module, name = at
-    return getattr(sys.modules[module], name)
+def _exponentiated_rows(learners, balls):  # one ``eta`` per row, through the class's own step
+    one, step = learners[0].sched, learners[0]._step
+    etas = np.array([[lrn.sched.eta] for lrn in learners])
+    sched = _RowSchedule(one.geometry, etas, one.beta, one.epsilon0)
+    return lambda s, g, h, w: step(s, g, sched, balls, h, w)
 
 
 class _Exponentiated(Learner):
     """An exponentiated learner on either schedule, starting at the anchor ``x1``; each class
-    declares its state's ``_init`` and ``_step_at``, where its step is looked up on every call
-    (the harness steps a stack of the class's runs through it too)."""
+    declares its state's ``_init`` and its ``_step``, which finds the step in the class's module
+    when called, so a wrapper installed there later sees the steps, alone or stacked."""
+
+    # runs stack by class, schedule geometry, ``beta`` and ``epsilon0``
+    _stacking = _Stacking(lambda lrn: (type(lrn), lrn.sched.geometry, lrn.sched.beta,
+                                       lrn.sched.epsilon0), _exponentiated_rows)
 
     def __init__(self, sched, mode: FeasibleMode = None, x1=None):
-        self.sched, self.mode, at = sched, mode, self._step_at
+        self.sched, self.mode, step = sched, mode, self._step
         state = self._init(sched, x1)
         x = state.x if isinstance(state, OmdState) else state.x1.copy()  # a leader keeps x1
-        super().__init__(state, x, lambda s, g, h, w: _looked_up(at)(s, g, sched, mode, h, w))
+        super().__init__(state, x, lambda s, g, h, w: step(s, g, sched, mode, h, w))
 
 
 class ExpMd(_Exponentiated):
     """Stateful mirror-descent learner over :func:`omd_step`, on either schedule."""
 
-    _init, _step_at = staticmethod(omd_init), (__name__, "omd_step")
+    _init, _step = staticmethod(omd_init), staticmethod(lambda *a: omd_step(*a))
 
 
 class ExpFtrl(_Exponentiated):
     """Stateful leader-following learner over :func:`ftrl_step`, on either schedule."""
 
-    _init, _step_at = staticmethod(ftrl_init), (__name__, "ftrl_step")
+    _init, _step = staticmethod(ftrl_init), staticmethod(lambda *a: ftrl_step(*a))

@@ -12,9 +12,9 @@ vector operation to the spectrum, and recomposes:
 
 ``spectral_omd_*``/``spectral_ftrl_*`` are those learners' entry points under
 their spectral names, and :class:`SpectralExpMd`/:class:`SpectralExpFtrl` the
-learners' constructor declared over them; mirror-descent states carry the
-factors of the current iterate, so each step costs a single decomposition of
-the dual matrix.
+learners' constructor declared over them, each ``_step`` finding its step here
+when called; mirror-descent states carry the factors of the current iterate, so
+each step costs a single decomposition of the dual matrix.
 """
 
 from dataclasses import dataclass
@@ -211,10 +211,11 @@ spectral_ftrl_step = learners.ftrl_step
 class SpectralExpMd(learners._Exponentiated):
     """Stateful spectral mirror-descent learner."""
 
-    _init, _step_at = staticmethod(spectral_omd_init), (__name__, "spectral_omd_step")
+    _init, _step = staticmethod(spectral_omd_init), staticmethod(lambda *a: spectral_omd_step(*a))
 
 
 class SpectralExpFtrl(learners._Exponentiated):
     """Stateful spectral leader-following learner."""
 
-    _init, _step_at = staticmethod(spectral_ftrl_init), (__name__, "spectral_ftrl_step")
+    _init = staticmethod(spectral_ftrl_init)
+    _step = staticmethod(lambda *a: spectral_ftrl_step(*a))

@@ -90,6 +90,25 @@ class TestExitCodes:
         assert "config error" in err and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_an_out_path_that_cannot_be_written_is_config_error_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        from expopt import cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        cfg = small_config(tmp_path)
+        out, says = ((tmp_path / "nope" / "o.csv", "does not exist") if where == "missing directory"
+                     else (tmp_path, "is a directory"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["logistic", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out ") and err.count("\n") == 1 and says in err
+        assert sorted(tmp_path.rglob("*")) == before  # no CSV, no sidecar
+
     def test_all_trials_failing_numerically(self, tmp_path, monkeypatch):
         import numpy as np
 

@@ -20,7 +20,7 @@ import pytest
 
 from expopt import AdaFtrl, AdaGrad, BallConstraint, DiagProxState, ExpFtrl, ExpMd
 from expopt import NumericRangeError, ScheduleParams, SpectralExpFtrl, SpectralExpMd
-from expopt import SpectralSchedule, learners, spectral
+from expopt import SpectralSchedule, baselines, learners, spectral
 from expopt.baselines import _diag_step, _RowBalls, adaftrl_step, adagrad_step, diag_init
 from expopt.baselines import euclidean_nuclear_ball_project
 from expopt.harness import ExperimentSpec, RegretRecord, TrialFailure, run_experiment
@@ -58,13 +58,14 @@ def each_alone(spec):
 
 def stacked_steps(monkeypatch):
     """The number of rows of each stacked diagonal step the harness takes."""
-    rows, step = [], experiments._diag_step
+    rows, step = [], baselines._diag_step
 
-    def spy(state, g, *args):
-        rows.append(len(g))
-        return step(state, g, *args)
+    def spy(state, g, *args, **kwargs):
+        if np.ndim(g) > 1:  # a lone run's step takes one row
+            rows.append(len(g))
+        return step(state, g, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_diag_step", spy)
+    monkeypatch.setattr(baselines, "_diag_step", spy)
     return rows
 
 
@@ -437,9 +438,7 @@ def bits(value):
 
 def stacked_state(states):
     """Lone learner states as the rows of one state, as the harness stacks them."""
-    fields = experiments._ROWS[type(states[0])]
-    rows = {f: experiments._stacked([getattr(st, f) for st in states]) for f in fields}
-    return dataclasses.replace(states[0], **rows)
+    return experiments._stacked(states)
 
 
 @pytest.mark.parametrize("shape", [(5,), (500,), (6, 3), (20, 5)])
@@ -465,9 +464,9 @@ def test_a_stacked_exponentiated_step_gives_each_row_the_state_of_its_step_alone
         for j, (sched, radius) in enumerate(zip(scheds, radii)):
             alone[j], x = step(alone[j], g[j], sched, BallConstraint(radius))
             assert xs[j].tobytes() == x.tobytes()
-        for f in experiments._ROWS[type(stack)]:
+        for f in (field.name for field in dataclasses.fields(stack)):
             for j in range(len(radii)):
-                got = experiments._row(getattr(stack, f), j)
+                got = getattr(experiments._row(stack, j), f)
                 assert bits(got) == bits(getattr(alone[j], f)), f
     assert stack.round == alone[0].round
 
@@ -532,3 +531,80 @@ def test_an_oracle_error_ends_only_the_runs_of_its_trial(monkeypatch, kind, erro
         assert run(records, algorithm, 1) == run(clean, algorithm, 1)[: k - 1]
         for trial in (0, 2):
             assert run(records, algorithm, trial) == run(clean, algorithm, trial)
+
+
+# A learner family declared outside the library: its own state, step and stacking.
+@dataclasses.dataclass(frozen=True)
+class ClipState:
+    x: np.ndarray
+    round: int
+
+
+def clip_step(state, g, radius, h_next, reg_weight):
+    """Move ``x`` against the gradient and clip it elementwise to ``[-radius, radius]``: a row
+    of a stack, with one radius per row, has the bits it has alone."""
+    x = np.clip(state.x - 0.5 * np.asarray(g), -radius, radius)
+    return ClipState(x, state.round + 1), x
+
+
+class Clipped(learners.Learner):
+    """A learner on the ball of ``radius``, stepped by :func:`clip_step`, alone or stacked."""
+
+    _step = staticmethod(lambda *a: clip_step(*a))
+    _stacking = learners._Stacking(  # every run stacks: one radius per row
+        lambda learner: (),
+        lambda rows, balls: lambda s, g, h, w: clip_step(s, g, balls.radius, h, w))
+
+    def __init__(self, dim, radius):
+        self.mode, step = BallConstraint(radius), self._step
+        super().__init__(ClipState(np.zeros(dim), 1), np.zeros(dim),
+                         lambda s, g, h, w: step(s, g, radius, h, w))
+
+
+def test_a_family_that_declares_its_stacking_steps_its_runs_as_one_stack(pin_blas, monkeypatch):
+    pin_blas(1)  # the reference's one product over the whole stream
+    # the ``eg_pm`` slot of the registry builds the family's learner
+    spec = ExperimentSpec(kind="logistic", dim=20, horizon=30, trials=3, algorithms=("eg_pm",),
+                          seed=13, radius_mode="half")
+    build = registry.build_vector_learner
+    monkeypatch.setattr(registry, "build_vector_learner",
+                        lambda name, dim, radius: Clipped(dim, radius) if name == "eg_pm"
+                        else build(name, dim, radius))
+    shapes, step = [], clip_step
+
+    def spy(state, g, *args):
+        shapes.append(np.shape(g))
+        return step(state, g, *args)
+
+    monkeypatch.setitem(globals(), "clip_step", spy)
+    records, failures = run_experiment(spec)
+    assert not failures
+    # one 3-row stack per round, read before the reference steps each run alone
+    assert shapes == [(3, 20)] * spec.horizon
+    monkeypatch.setitem(LEARNERS, "eg_pm", Clipped)
+    assert [repr(r) for r in records] == [repr(r) for r in each_alone(spec)]
+
+
+class OwnStepExpMd(ExpMd):
+    """A user subclass that declares its own step: it stacks only with its own class."""
+
+    _step = staticmethod(lambda *a: learners.omd_step(*a))
+
+
+def test_a_subclass_with_its_own_step_stacks_apart_from_its_base(monkeypatch):
+    spec = ExperimentSpec(kind="logistic", dim=20, horizon=10, trials=3, algorithms=("exp_md",),
+                          seed=5)
+    expected, _ = run_experiment(spec)
+    build, built = registry.build_vector_learner, itertools.count()
+
+    def first_subclassed(name, dim, radius):  # trial 0's run is the subclass's
+        base = build(name, dim, radius)
+        return OwnStepExpMd(base.sched, base.mode) if next(built) == 0 else base
+
+    monkeypatch.setattr(registry, "build_vector_learner", first_subclassed)
+    rows = exponentiated_steps(monkeypatch)
+    records, failures = run_experiment(spec)
+    assert not failures and records == expected
+    # each round: the subclass's run alone, and the two ExpMd runs as one stack
+    assert collections.Counter(rows["omd_step"]) == {1: spec.horizon, 2: spec.horizon}
+    assert list(rows) == ["omd_step"]
