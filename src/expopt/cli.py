@@ -1,10 +1,10 @@
 """Command-line entry point for the benchmark harness.
 
 Subcommands ``logistic``, ``multitask`` and ``blackbox`` run the synthetic
-experiments and write a CSV plus a JSON metadata sidecar; ``props`` runs
-the quick property suites.  Exit codes: 0 on success, 2 for configuration
-errors, 3 when no (algorithm, trial) pair finished without a numeric failure.
-A run pins OpenBLAS to one thread and restores its thread count on exit.
+experiments and write a CSV plus a JSON metadata sidecar.  Exit codes: 0 on
+success, 2 for configuration errors, 3 when no (algorithm, trial) pair
+finished without a numeric failure.  A run pins OpenBLAS to one thread and
+restores its thread count on exit.
 """
 
 import argparse
@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="override the spec seed")
         cmd.add_argument("--trials", type=int, help="override the trial count")
         cmd.add_argument("--threads", type=int, default=1, help="ignored: runs use one thread")
-    sub.add_parser("props", help="run the property suites")
     return parser
 
 
@@ -142,16 +141,17 @@ def main(argv=None) -> int:
 
 
 def _run(args, blas: dict | None) -> int:
-    if args.command == "props":
-        from .props import run_all
-
-        return 0 if run_all() else 1
-
     try:
         spec = _load_spec(args)
+        # found before any trial runs, not by write_csv or write_metadata after them
         folder = os.path.dirname(args.out) or "."
-        if os.path.isdir(args.out):  # found before any trial runs, not by write_csv after them
+        sidecar = f"{args.out}.meta.json"
+        if not args.out:
+            raise ValueError("--out is empty")
+        if os.path.isdir(args.out):
             raise ValueError(f"--out {args.out!r} is a directory")
+        if os.path.isdir(sidecar):
+            raise ValueError(f"--out sidecar {sidecar!r} is a directory")
         if not os.path.isdir(folder):
             raise ValueError(f"--out directory {folder!r} does not exist")
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:

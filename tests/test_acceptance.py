@@ -67,7 +67,8 @@ class TestAcceptance:
     def test_03_strong_convexity_sampled(self):
         # proof-backed constants: the Hessian bound alpha / (|x_i| + beta)
         # integrates to half the modulus alpha / (radius + d * beta), the
-        # same constant that expopt.props.check_strong_convexity samples
+        # same constant that
+        # test_entropy.py::TestBregman::test_strong_convexity_lower_bound samples
         start = time.monotonic()
         rng = np.random.default_rng(102)
         d, radius = 5, 2.0

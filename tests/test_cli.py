@@ -90,7 +90,9 @@ class TestExitCodes:
         assert "config error" in err and field in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize(
+        "where", ["missing directory", "directory", "empty", "sidecar directory"]
+    )
     def test_an_out_path_that_cannot_be_written_is_config_error_before_any_trial(
         self, tmp_path, capsys, monkeypatch, where
     ):
@@ -100,9 +102,16 @@ class TestExitCodes:
             raise AssertionError("run_experiment was called")
 
         monkeypatch.setattr(cli, "run_experiment", no_run)
+        monkeypatch.chdir(tmp_path)  # where an empty --out would be written
         cfg = small_config(tmp_path)
-        out, says = ((tmp_path / "nope" / "o.csv", "does not exist") if where == "missing directory"
-                     else (tmp_path, "is a directory"))
+        if where == "sidecar directory":
+            (tmp_path / "o.csv.meta.json").mkdir()
+        out, says = {
+            "missing directory": (tmp_path / "nope" / "o.csv", "does not exist"),
+            "directory": (tmp_path, "is a directory"),
+            "empty": ("", "is empty"),
+            "sidecar directory": (tmp_path / "o.csv", "is a directory"),
+        }[where]
         before = sorted(tmp_path.rglob("*"))
         assert main(["logistic", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -166,11 +175,11 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestProps:
-    def test_props_pass(self, capsys):
-        assert main(["props"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+def test_the_removed_props_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["props"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestBlackboxExitCodes:

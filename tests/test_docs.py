@@ -1,8 +1,10 @@
 """The README names what the code registers."""
 
+import argparse
 import re
 from pathlib import Path
 
+from expopt.cli import _build_parser
 from expopt.harness.experiments import KINDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,3 +28,15 @@ def registered_in_readme() -> dict:
 def test_readme_names_exactly_the_registered_algorithms_kind_by_kind():
     # KINDS maps each kind to registry.VECTOR_/MATRIX_/ACCELERATED_ALGORITHMS
     assert registered_in_readme() == KINDS
+
+
+def subcommands_in_readme() -> list:
+    """The ``expopt <word>`` lines of the fenced block under "## Benchmark CLI"."""
+    text = README.read_text()
+    block = text[text.index("## Benchmark CLI") :].split("```")[1]
+    return re.findall(r"^expopt (\w+)", block, flags=re.MULTILINE)
+
+
+def test_readme_names_exactly_the_cli_subcommands():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert subcommands_in_readme() == list(sub.choices)
