@@ -7,8 +7,10 @@ first step is already sensibly scaled) and preconditions by ``1/sqrt(h)``.
 Ball-mode feasibility uses an exact weighted-Euclidean projection onto the
 l1 ball: a scan of the sorted breakpoints of its dual variable, which at
 large dimension first discards coordinates that a cheap lower bound on the
-threshold proves inactive.  Both also take stacks of rows ``(rows, d)``, each
-row bit for bit as alone, so that one call does the numpy work of many runs.
+threshold proves inactive.  On an ``(m, n)`` matrix the ball is the nuclear
+one, reached by a Frobenius-metric projection (the exact weighted projection
+has no spectral form).  Both also take stacks of runs with a leading row axis,
+each row bit for bit as alone, so that one call does the numpy work of many.
 ``AdaGrad`` and ``AdaFtrl`` share one constructor and stack together; each
 declares its ``_step`` and ``leader``, whether it follows the accumulated gradients.
 
@@ -52,8 +54,8 @@ _FILTER_SHARE = 16
 
 @dataclass(frozen=True)
 class DiagProxState:
-    """Diagonal learner state shared by the descent and leader variants; arrays of
-    shape ``(rows, d)`` stack runs that share ``round`` and ``reg_rounds``."""
+    """Diagonal learner state shared by the descent and leader variants, in the decision's
+    shape; arrays with a leading row axis stack runs that share ``round`` and ``reg_rounds``."""
 
     h_diag: np.ndarray
     g_accum: np.ndarray
@@ -63,14 +65,16 @@ class DiagProxState:
     reg_rounds: float
 
 
-def diag_init(dim: int, x1=None) -> DiagProxState:
-    if dim < 1:
+def diag_init(dim: int | tuple[int, int], x1=None) -> DiagProxState:
+    """Fresh state on ``dim`` coordinates, or on the entries of an ``(m, n)`` matrix."""
+    shape = tuple(np.atleast_1d(dim).tolist())  # plain ints, as error messages print them
+    if not (0 < len(shape) <= 2 and min(shape) >= 1):
         raise ValueError("dim must be a positive integer")
     return DiagProxState(
-        h_diag=np.full(dim, _H_FLOOR),
-        g_accum=np.zeros(dim),
-        x=_anchor(x1, (dim,)),
-        h_prev=np.zeros(dim),
+        h_diag=np.full(shape, _H_FLOOR),
+        g_accum=np.zeros(shape),
+        x=_anchor(x1, shape),
+        h_prev=np.zeros(shape),
         round=1,
         reg_rounds=1.0,
     )
@@ -199,11 +203,12 @@ class _RowBalls(BallConstraint):
 def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader):
     """One diagonal round; ``leader`` selects the accumulated-gradient target.
 
-    ``target`` is the round's minimizer without a mode; ball mode projects it
-    in the ``diag(h_sqrt)`` metric, elastic net soft-thresholds ``target * h_sqrt``.
+    ``target`` is the round's minimizer without a mode; ball mode projects a vector in the
+    ``diag(h_sqrt)`` metric and a matrix onto the nuclear ball in the Frobenius metric, and
+    elastic net soft-thresholds a vector's ``target * h_sqrt``.
 
     A stacked state steps each row bit for bit as alone; ``leader`` is then one flag per
-    row, ``(rows, 1)``, and a ball mode a :class:`_RowBalls`.
+    row, ``(rows, 1)`` or ``(rows, 1, 1)``, and a ball mode a :class:`_RowBalls`.
     """
     g, h_next = _inputs(state.x.shape, g, h_next, reg_weight)
     diff = g - state.h_prev
@@ -221,9 +226,11 @@ def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader)
     reg_rounds = state.reg_rounds + reg_weight
     if math.isinf(reg_rounds):  # a sum of Python floats trips no guard
         raise NumericRangeError("accumulated regularizer weight overflows")
+    matrices = target.ndim - stacked == 2
     if isinstance(mode, BallConstraint):
-        x = weighted_l1_ball_project(target, h_sqrt, mode.radius)
-    elif isinstance(mode, CompositeRegularizer):
+        x = (euclidean_nuclear_ball_project(target, mode.radius) if matrices
+             else weighted_l1_ball_project(target, h_sqrt, mode.radius))
+    elif isinstance(mode, CompositeRegularizer) and not matrices:
         weight = np.where(leader, reg_rounds, reg_weight) if stacked else (
             reg_rounds if leader else reg_weight)
         q = target * h_sqrt
@@ -322,8 +329,8 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     return new_state, x
 
 
-def _diagonal_rows(learners, balls):  # one leader flag per row
-    leader = np.array([[lrn.leader] for lrn in learners])
+def _diagonal_rows(learners, balls):  # one leader flag per row, broadcast over its decision
+    leader = np.reshape([lrn.leader for lrn in learners], (-1,) + (1,) * learners[0].x.ndim)
     return lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader)
 
 
@@ -333,14 +340,15 @@ class _Diagonal(Learner):
 
     _stacking = _Stacking(lambda learner: (), _diagonal_rows)
 
-    def __init__(self, dim: int, mode: FeasibleMode = None, x1=None):
+    def __init__(self, dim: int | tuple[int, int], mode: FeasibleMode = None, x1=None):
         self.mode, step = mode, self._step
         state = diag_init(dim, x1)
         super().__init__(state, state.x, lambda s, g, h, w: step(s, g, mode, h, w))
 
 
 class AdaGrad(_Diagonal):
-    """Stateful diagonal mirror-descent baseline on its feasibility ``mode``."""
+    """Stateful diagonal mirror-descent baseline on its feasibility ``mode``, over ``dim``
+    coordinates or an ``(m, n)`` matrix's entries, whose ball is then the nuclear one."""
 
     leader, _step = False, staticmethod(lambda *a: adagrad_step(*a))
 

@@ -1,19 +1,17 @@
 """Algorithm registry: names accepted in experiment configs.
 
-Online (regret) experiments use learners exposing ``.x`` and ``.step(g)``;
-the black-box experiment wraps accelerated learners around two-point
+A name table over the library's learner classes; it defines no class.
+Online (regret) experiments use learners exposing ``.x`` and ``.step(g)``
+(the matrix ``adagrad``/``adaftrl`` are ``AdaGrad``/``AdaFtrl`` on an ``(m, n)``
+shape); the black-box experiment wraps accelerated learners around two-point
 gradient estimators, pairing each family with its estimator recipe.  The
 accelerated learners run in elastic-net mode with schedules for radius 1.
 """
 
-import dataclasses
 import functools
 
-import numpy as np
-
-from .. import baselines
-from ..baselines import AdaFtrl, AdaGrad, EgPm, diag_init, euclidean_nuclear_ball_project
-from ..learners import ExpFtrl, ExpMd, Learner, ScheduleParams, _checked, _Stacking
+from ..baselines import AdaFtrl, AdaGrad, EgPm
+from ..learners import ExpFtrl, ExpMd, ScheduleParams
 from ..prox import BallConstraint, CompositeRegularizer
 from ..spectral import SpectralExpFtrl, SpectralExpMd, SpectralSchedule
 from ..zeroth_order import rademacher_config, sphere_config
@@ -48,42 +46,6 @@ def build_vector_learner(name: str, dim: int, radius: float):
     raise KeyError(f"unknown vector algorithm {name!r}")
 
 
-def _nuclear_rows(m: int, n: int, radius, leader):
-    """``advance`` of a diagonal baseline on flattened ``m``-by-``n`` matrices.
-
-    :func:`~expopt.baselines._diag_step` runs coordinatewise on the vectorization, with no
-    mode (``leader`` picks AdaFtrl's target over AdaGrad's); the nuclear-ball constraint is
-    enforced by a Frobenius-metric projection (the exact weighted projection has no spectral
-    form).  One run takes a float ``radius`` and a bool ``leader``; the rows of a stacked
-    state ``(rows, m*n)`` take one of each per row, ``(rows, 1)``, and one stacked
-    projection, each row bit for bit as alone.
-    """
-
-    def advance(state, g, h_next, reg_weight):
-        shape = (*state.x.shape[:-1], m, n)
-        g = _checked(g, shape, "g").reshape(state.x.shape)
-        if h_next is not None:
-            h_next = _checked(h_next, shape, "h_next").reshape(state.x.shape)
-        st, target = baselines._diag_step(state, g, None, h_next, reg_weight, leader)
-        # looked up on every step, so a wrapper of the projection sees the stacked rows too
-        x = euclidean_nuclear_ball_project(target.reshape(shape), radius)
-        return dataclasses.replace(st, x=x.reshape(state.x.shape)), x
-
-    return advance
-
-
-class _DiagNuclear(Learner):
-    """The matrix ``adagrad`` or ``adaftrl``: :func:`_nuclear_rows` of one run, or of a stack."""
-
-    _stacking = _Stacking(lambda learner: (), lambda rows, balls: _nuclear_rows(
-        *rows[0].x.shape, balls.radius, np.array([[lrn.leader] for lrn in rows])))
-
-    def __init__(self, name: str, m: int, n: int, ball: BallConstraint):
-        self.mode, self.leader = ball, name == "adaftrl"
-        advance = _nuclear_rows(m, n, ball.radius, self.leader)
-        super().__init__(diag_init(m * n), np.zeros((m, n)), advance)
-
-
 def build_matrix_learner(name: str, m: int, n: int, radius: float):
     """Instantiate a matrix learner on the nuclear ball of the given radius."""
     ball = BallConstraint(radius)
@@ -91,8 +53,10 @@ def build_matrix_learner(name: str, m: int, n: int, radius: float):
         return SpectralExpMd(SpectralSchedule(m, n, radius), mode=ball)
     if name == "spectral_exp_ftrl":
         return SpectralExpFtrl(SpectralSchedule(m, n, radius), mode=ball)
-    if name in ("adagrad", "adaftrl"):
-        return _DiagNuclear(name, m, n, ball)
+    if name == "adagrad":
+        return AdaGrad((m, n), mode=ball)
+    if name == "adaftrl":
+        return AdaFtrl((m, n), mode=ball)
     raise KeyError(f"unknown matrix algorithm {name!r}")
 
 

@@ -157,7 +157,7 @@ class MultitaskStream:
     """Low-rank truth ``w_star`` (dim x tasks) with per-task logit streams."""
 
     w_star: np.ndarray
-    singular_values: np.ndarray  # the drawn spectrum of w_star
+    singular_values: np.ndarray  # tasks entries; the first min(dim, tasks) are w_star's
     features: np.ndarray  # (horizon, tasks, dim)
     labels: np.ndarray  # (horizon, tasks)
 
@@ -184,7 +184,8 @@ def multitask_blocks(
     v = _random_orthogonal(tasks, rng)
     sigma = np.zeros(tasks)
     sigma[:rank] = rng.uniform(0.0, 10.0, size=rank)
-    w_star = (u[:, :tasks] * sigma) @ v
+    k = min(dim, tasks)
+    w_star = (u[:, :k] * sigma[:k]) @ v[:k]
     label_rng = copy.deepcopy(rng)
     label_rng.bit_generator.advance(horizon * tasks * dim)
     rows = max(budget // (8 * tasks * dim), 1)

@@ -28,6 +28,8 @@ CLASSES = {
                         spectral, "spectral_ftrl_step"),
     "AdaGrad": (lambda: AdaGrad(6, mode=BALL), (6,), baselines, "adagrad_step"),
     "AdaFtrl": (lambda: AdaFtrl(6, mode=BALL), (6,), baselines, "adaftrl_step"),
+    "AdaGrad-4x3": (lambda: AdaGrad((4, 3), mode=BALL), (4, 3), baselines, "adagrad_step"),
+    "AdaFtrl-4x3": (lambda: AdaFtrl((4, 3), mode=BALL), (4, 3), baselines, "adaftrl_step"),
 }
 
 

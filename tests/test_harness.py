@@ -75,9 +75,10 @@ class TestLogisticStream:
 
 
 class TestMultitaskStream:
-    def test_rank_and_spectrum(self):
+    @pytest.mark.parametrize("dim,tasks,rank", [(12, 6, 3), (6, 12, 3)])
+    def test_rank_and_spectrum(self, dim, tasks, rank):
         rng = np.random.default_rng(85)
-        stream = gen_multitask_stream(12, 6, 3, 5, rng)
+        stream = gen_multitask_stream(dim, tasks, rank, 5, rng)
         s = np.linalg.svd(stream.w_star, compute_uv=False)
         assert np.sum(s > 1e-8) == 3
         drawn = np.sort(stream.singular_values)[::-1]

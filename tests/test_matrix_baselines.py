@@ -1,12 +1,21 @@
-"""The registry's matrix AdaGrad/AdaFtrl: the vector steps on the flattening, then a nuclear projection."""
+"""AdaGrad/AdaFtrl on an ``(m, n)`` shape, built directly or by the registry's matrix
+``adagrad``/``adaftrl``: each decision has the bits of the vector step on the flattening,
+then a Frobenius-metric nuclear projection."""
 
 import numpy as np
 import pytest
 
-from expopt import adaftrl_step, adagrad_step, diag_init, euclidean_nuclear_ball_project
+from expopt import AdaFtrl, AdaGrad, BallConstraint, adaftrl_step, adagrad_step, diag_init
+from expopt import euclidean_nuclear_ball_project
 from expopt.harness import registry
 
 M, N, RADIUS = 4, 3, 1.5
+BUILD = {
+    "adagrad": lambda: registry.build_matrix_learner("adagrad", M, N, RADIUS),
+    "adaftrl": lambda: registry.build_matrix_learner("adaftrl", M, N, RADIUS),
+    "AdaGrad": lambda: AdaGrad((M, N), mode=BallConstraint(RADIUS)),
+    "AdaFtrl": lambda: AdaFtrl((M, N), mode=BallConstraint(RADIUS)),
+}
 
 
 def same_bytes(a, b):
@@ -29,7 +38,10 @@ def reference(step, gs, hs, weights):
     return out
 
 
-@pytest.mark.parametrize("name, step", [("adagrad", adagrad_step), ("adaftrl", adaftrl_step)])
+@pytest.mark.parametrize("name, step", [
+    ("adagrad", adagrad_step), ("adaftrl", adaftrl_step),
+    ("AdaGrad", adagrad_step), ("AdaFtrl", adaftrl_step),
+])
 @pytest.mark.parametrize("with_hints", [False, True])
 def test_matches_flattened_step_then_nuclear_projection(name, step, with_hints):
     rng = np.random.default_rng(3)
@@ -39,7 +51,7 @@ def test_matches_flattened_step_then_nuclear_projection(name, step, with_hints):
     if not with_hints:
         hs = [None] * rounds
     weights = rng.uniform(0.5, 2.0, rounds)
-    learner = registry.build_matrix_learner(name, M, N, RADIUS)
+    learner = BUILD[name]()
     assert same_bytes(learner.x, np.zeros((M, N)))
     expected = reference(step, gs, hs, weights)
     projected = 0
@@ -51,7 +63,7 @@ def test_matches_flattened_step_then_nuclear_projection(name, step, with_hints):
         projected += np.isclose(np.sum(np.linalg.svd(got, compute_uv=False)), RADIUS)
     assert projected > 0  # the projection was active on some rounds
     if with_hints:
-        assert same_bytes(learner.state.h_prev, hs[-1].ravel())
+        assert same_bytes(learner.state.h_prev, hs[-1])
         assert learner.state.reg_rounds == pytest.approx(1.0 + weights.sum())
 
 

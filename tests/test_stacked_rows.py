@@ -193,19 +193,20 @@ def each_matrix_run_alone(spec):
 
 def stacked_projections(monkeypatch):
     """The number of matrices of each nuclear projection the harness's diagonal runs take."""
-    rows, project = [], registry.euclidean_nuclear_ball_project
+    rows, project = [], baselines.euclidean_nuclear_ball_project
 
     def spy(y, radius):
         rows.append(len(y) if y.ndim == 3 else 1)
         return project(y, radius)
 
-    monkeypatch.setattr(registry, "euclidean_nuclear_ball_project", spy)
+    monkeypatch.setattr(baselines, "euclidean_nuclear_ball_project", spy)
     return rows
 
 
-# a stack holds 32 kB of each state array: every diagonal row at 6x3 and 20x5, 4 at 50x20
+# a stack holds 32 kB of each state array: every diagonal row at 6x3, 20x5 and 3x7, 4 at 50x20
 @pytest.mark.parametrize("dim,tasks,rank,stacks", [
-    (6, 3, 2, {2: 4, 5: 10}), (20, 5, 2, {2: 4, 5: 10}), (50, 20, 3, {2: 4, 5: 4})
+    (6, 3, 2, {2: 4, 5: 10}), (20, 5, 2, {2: 4, 5: 10}), (50, 20, 3, {2: 4, 5: 4}),
+    (3, 7, 3, {2: 4, 5: 10}),
 ])
 @pytest.mark.parametrize("trials", [2, 5])
 @pytest.mark.parametrize("radius_mode", sorted(FACTORS))

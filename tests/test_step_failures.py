@@ -175,6 +175,24 @@ def test_matrix_diagonal_learners_reject_a_transposed_input(name):
     assert np.array_equal(learner.x, x)
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (np.int64(4), np.int64(3))])
+def test_a_matrix_diagonal_learner_rejects_a_flattened_gradient_naming_its_shape(shape):
+    learner = AdaGrad(shape, mode=MODES["ball"])
+    with pytest.raises(ValueError, match=r"g has shape \(12,\), expected \(4, 3\)$"):
+        learner.step(np.ones(12))
+
+
+@pytest.mark.parametrize("cls", [AdaGrad, AdaFtrl])
+def test_a_matrix_diagonal_learner_rejects_an_entrywise_prox(cls):
+    # on matrices the regularizer weights the singular values, which no entrywise step sees
+    learner = cls((4, 3), mode=MODES["enet"])
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(TypeError, match="unsupported feasibility mode"):
+        learner.step(np.ones((4, 3)))
+    assert learner.state is state
+    assert np.array_equal(learner.x, x)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_eg_pm_rejects_a_non_finite_hint(bad):
     from expopt import EgPm
@@ -325,6 +343,8 @@ def test_baselines_reject_an_empty_dimension():
 
     for make in (
         lambda: diag_init(0),
+        lambda: diag_init((4, 0)),
+        lambda: diag_init((2, 3, 4)),  # a vector or a matrix, not a tensor
         lambda: eg_pm_init(0),
         lambda: AdaGrad(0),
         lambda: AdaFtrl(-1),
