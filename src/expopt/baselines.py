@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import NumericRangeError, _range_guard
-from .learners import Learner, _add_square, _anchor, _checked, _inputs, _Stacking
-from .prox import BallConstraint, CompositeRegularizer, FeasibleMode
+from .learners import Learner, _add_square, _anchor, _checked, _dims, _inputs, _Stacking
+from .prox import BallConstraint, CompositeRegularizer, FeasibleMode, _check_radius
 from .spectral import _project_spectrum
 
 __all__ = [
@@ -55,7 +55,7 @@ _FILTER_SHARE = 16
 @dataclass(frozen=True)
 class DiagProxState:
     """Diagonal learner state shared by the descent and leader variants, in the decision's
-    shape; arrays with a leading row axis stack runs that share ``round`` and ``reg_rounds``."""
+    shape, or with a leading row axis for a :func:`~expopt.learners.stack` of runs."""
 
     h_diag: np.ndarray
     g_accum: np.ndarray
@@ -67,9 +67,9 @@ class DiagProxState:
 
 def diag_init(dim: int | tuple[int, int], x1=None) -> DiagProxState:
     """Fresh state on ``dim`` coordinates, or on the entries of an ``(m, n)`` matrix."""
-    shape = tuple(np.atleast_1d(dim).tolist())  # plain ints, as error messages print them
-    if not (0 < len(shape) <= 2 and min(shape) >= 1):
-        raise ValueError("dim must be a positive integer")
+    shape = _dims(*(tuple(dim) if np.ndim(dim) else (dim,)))
+    if len(shape) > 2:  # a vector or a matrix, not a tensor
+        raise ValueError(f"dim must be a length or an (m, n) shape, got {shape}")
     return DiagProxState(
         h_diag=np.full(shape, _H_FLOOR),
         g_accum=np.zeros(shape),
@@ -144,10 +144,12 @@ def weighted_l1_ball_project(y, weights, radius):
     A stack ``y`` of ``(rows, d)``, with ``weights`` alike and ``radius`` a float or one
     per row ``(rows, 1)``, projects each row onto its ball, bit for bit as that row alone.
 
-    Raises :class:`NumericRangeError` when ``y`` has a NaN or infinite
-    coordinate, which the feasibility test's own sum shows, or when the guard
-    trips (that sum overflows, say).
+    Raises ``ValueError`` for a radius that is not positive and finite, and
+    :class:`NumericRangeError` when ``y`` has a NaN or infinite coordinate,
+    which the feasibility test's own sum shows, or when the guard trips (that
+    sum overflows, say).
     """
+    _check_radius(radius)
     y = np.asarray(y, dtype=float)
     w = np.asarray(weights, dtype=float)
     abs_y = np.abs(y)
@@ -184,19 +186,12 @@ def euclidean_nuclear_ball_project(y, radius):
     Factors once and projects the singular values onto the simplex-style
     l1 ball (unit weights).  A stack ``(rows, m, n)`` with a float or one
     radius per row ``(rows, 1)`` projects each matrix bit for bit as alone.
+    A radius that is not positive and finite raises ``ValueError``.
     """
+    _check_radius(radius)
     return _project_spectrum(
         y, radius, lambda s, r: weighted_l1_ball_project(s, np.ones_like(s), r)
     )
-
-
-@dataclass(frozen=True)
-class _RowBalls(BallConstraint):
-    """The l1 balls of a stacked diagonal state, one radius per row: shape ``(rows, 1)``."""
-
-    def __post_init__(self):
-        if not np.all((0 < self.radius) & (self.radius < math.inf)):
-            raise ValueError("ball radius must be positive and finite")
 
 
 @_range_guard()
@@ -208,7 +203,7 @@ def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader)
     elastic net soft-thresholds a vector's ``target * h_sqrt``.
 
     A stacked state steps each row bit for bit as alone; ``leader`` is then one flag per
-    row, ``(rows, 1)`` or ``(rows, 1, 1)``, and a ball mode a :class:`_RowBalls`.
+    row, ``(rows, 1)`` or ``(rows, 1, 1)``, and a ball mode one radius per row.
     """
     g, h_next = _inputs(state.x.shape, g, h_next, reg_weight)
     diff = g - state.h_prev
@@ -284,8 +279,7 @@ class EgPmState:
 
 
 def eg_pm_init(dim: int) -> EgPmState:
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
+    (dim,) = _dims(dim)
     return EgPmState(log_weights=np.zeros(2 * dim), sum_sq=0.0, round=1)
 
 
@@ -338,7 +332,9 @@ class _Diagonal(Learner):
     """A diagonal baseline on its feasibility ``mode``; each class declares ``leader`` and its
     ``_step``, which finds the step in this module when it is called."""
 
-    _stacking = _Stacking(lambda learner: (), _diagonal_rows)
+    # the stack steps through ``_diag_step``: a subclass with its own ``_step`` steps alone
+    _stacking = _Stacking(lambda lrn: () if type(lrn) in (AdaGrad, AdaFtrl) else None,
+                          _diagonal_rows)
 
     def __init__(self, dim: int | tuple[int, int], mode: FeasibleMode = None, x1=None):
         self.mode, step = mode, self._step

@@ -3,10 +3,10 @@
 Every trial draws its own child of ``SeedSequence(seed)`` and generates its
 data block by block.  All runs of all trials of a spec advance together, a
 block of rounds at a time, through one round loop; the trials share
-``streams.BLOCK_BYTES`` of features.  The runs of a learner family that declares
-its ``_stacking`` step as the rows of one state, which share only ``round`` and
-``reg_rounds``, each row bit for bit as alone; every other run steps alone.  A
-blackbox trial is one block.  A side-effecting oracle sees the runs interleaved.
+``streams.BLOCK_BYTES`` of features.  The harness groups the runs by
+:func:`~expopt.learners.stack_key` and plays each group; the learner layer stacks
+and splits a group's runs, each row bit for bit as alone.  A blackbox trial is
+one block.  A side-effecting oracle sees the runs interleaved.
 Runs keep floats; :func:`run_experiment` makes rows, sorted by (algorithm, trial,
 round), floats written in their shortest round-trip form, so equal configurations
 give byte-identical CSV files.  A numeric error of an oracle, step or objective,
@@ -19,15 +19,13 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..accelerate import Accelerator
-from ..baselines import _RowBalls
 from ..entropy import NumericRangeError
-from ..learners import Learner
-from ..prox import BallConstraint
+from ..learners import row_of, stack, stack_key
 from ..zeroth_order import default_smoothing, two_point_grad_rows
 from . import registry, streams
 
@@ -56,7 +54,6 @@ RADIUS_FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 _NUMERIC_ERRORS = (NumericRangeError, FloatingPointError, np.linalg.LinAlgError)
 # bytes of one array of a stacked state: 8 rows at d=500, 1 from d=2001 up, 40 at 20x5
 _STACK_BYTES = 32_000
-_SHARED = ("round", "reg_rounds")  # the only state fields the rows of a stack share
 _INTEGER_FIELDS = ("dim", "horizon", "trials", "tasks", "rank", "seed")
 
 
@@ -148,63 +145,20 @@ class TrialFailure:
     error: str
 
 
-def _stack_key(learner):
-    """What runs must share to step as the rows of one :func:`_stack`, or ``None`` for a run
-    that steps alone: their family's ``_stacking``, state type, decision shape and the family's
-    key.  A run stacks only unpatched, on a ball, and of a class that declares its own ``_step``
-    or ``_stacking``: a subclass steps alone, through its own ``step``."""
-    kind = type(learner)
-    declared = "step" not in vars(learner) and vars(kind).keys() & {"_step", "_stacking"}
-    family = getattr(kind, "_stacking", None) if declared else None
-    if family is None or not isinstance(getattr(learner, "mode", None), BallConstraint):
-        return None
-    return family, type(learner.state), np.shape(learner.x), family.key(learner)
-
-
-def _stacked(values):
-    """Runs' states, or one field of them, as the rows of one, field by field but ``_SHARED``."""
-    first = values[0]
-    if first is None:  # a vector mirror-descent factor, rebuilt from ``x``
-        return None
-    if is_dataclass(first):
-        return replace(first, **{f.name: _stacked([getattr(v, f.name) for v in values])
-                                 for f in fields(first) if f.name not in _SHARED})
-    return np.stack(values)
-
-
-def _row(value, j):
-    """Row ``j`` of a stacked state, or of one field of it, as the run alone holds it."""
-    if value is None:
-        return None
-    if is_dataclass(value):
-        return replace(value, **{f.name: _row(getattr(value, f.name), j)
-                                 for f in fields(value) if f.name not in _SHARED})
-    return value[j] if value.ndim > 1 else float(value[j])
-
-
-def _stack(learners) -> Learner:
-    """Learners that started together and share a :func:`_stack_key`, as one learner with
-    their rows, stepped as the first one's family declares."""
-    balls = _RowBalls(np.array([[lrn.mode.radius] for lrn in learners]))
-    advance = learners[0]._stacking.advance(learners, balls)
-    x = np.stack([lrn.x for lrn in learners])
-    return Learner(_stacked([lrn.state for lrn in learners]), x, advance)
-
-
 def _regrets(learners, oracle, *rounds):
     """Cumulative regret of each run, one round iterator each, checked before it steps: per
     round, each live run's value or the numeric error (oracle, regret or step) that ends it.
-    Two or more learners step as one :func:`_stack`; at a round where a row ends, each row is
-    replayed through its learner's own ``step``, as the row alone, like a lone learner."""
+    Two or more learners step as one :func:`~expopt.learners.stack`; at a round where a row
+    ends, each row is replayed through its learner's own ``step``, as the row alone."""
     live, cums = list(range(len(learners))), [0.0] * len(learners)
-    stack = _stack(learners) if len(learners) > 1 else None
+    stacked = stack(learners) if len(learners) > 1 else None
 
     def regret(j, i):  # run i's value and gradient, or its error and None; row j of a stack
         x, y, comp_loss = next(rounds[i])
         # the decision lives in this call only: held across a yield, it would outlive its
         # round while the other groups play
         try:
-            loss, grad = oracle(learners[i].x if stack is None else stack.x[j], x, y)
+            loss, grad = oracle(learners[i].x if stacked is None else stacked.x[j], x, y)
             cums[i] += loss - comp_loss
             if not math.isfinite(cums[i]):
                 raise NumericRangeError(f"cumulative regret is not finite ({cums[i]})")
@@ -218,24 +172,24 @@ def _regrets(learners, oracle, *rounds):
             value, grad = regret(j, i)
             values.append(value)
             grads.append(grad)
-        stepped = stack is not None and all(grad is not None for grad in grads)
+        stepped = stacked is not None and all(grad is not None for grad in grads)
         if stepped:
             try:
-                stack.step(np.array(grads))
+                stacked.step(np.array(grads))
             except _NUMERIC_ERRORS:
                 stepped = False
         if not stepped:  # each row alone, through its learner
             for j, (i, grad) in enumerate(zip(live, grads)):
-                if stack is not None:
-                    learners[i].state = _row(stack.state, j)
+                if stacked is not None:
+                    learners[i].state = row_of(stacked.state, j)
                 try:
                     if grad is not None:
                         learners[i].step(grad)
                 except _NUMERIC_ERRORS as exc:
                     values[j] = exc
             live = [i for i, value in zip(live, values) if not isinstance(value, Exception)]
-            if stack is not None and live:
-                stack = _stack([learners[i] for i in live])
+            if stacked is not None and live:
+                stacked = stack([learners[i] for i in live])
         yield values
 
 
@@ -299,8 +253,8 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
     """The results of the trials ``{trial: seed sequence}``, advancing together block by block.
 
     The trials share ``streams.BLOCK_BYTES`` of data, multitask ones at most a quarter of one
-    trial's stream.  The runs that share a :func:`_stack_key`, in order, form groups of up to
-    ``_STACK_BYTES`` an array; every other run is a group of one.
+    trial's stream.  The runs that share a :func:`~expopt.learners.stack_key`, in order, form
+    groups of up to ``_STACK_BYTES`` an array; every other run is a group of one.
     """
     runs, groups, blocks = [], [], {}
     budget = streams.BLOCK_BYTES // len(seeds)
@@ -336,12 +290,12 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
             build, oracle = registry.build_matrix_learner, streams.multitask_loss_grad
         radius *= RADIUS_FACTORS[spec.radius_mode]  # 0 for an all-zero truth
         runs += [(name, trial, build(name, *shape, radius or 1.0)) for name in spec.algorithms]
-    row = spec.dim * spec.tasks if spec.kind == "multitask" else spec.dim
-    size = max(1, _STACK_BYTES // (8 * row))
-    same = {}  # each stacking key's runs, in order; a run that steps alone is its own key
+    same, chunks = {}, {}  # each stacking key's runs, in order; a lone run is its own key
     for run in runs:
-        same.setdefault(_stack_key(run[2]) or run[:2], []).append(run)
-    chunks = {rs[k][:2]: rs[k : k + size] for rs in same.values() for k in range(0, len(rs), size)}
+        same.setdefault(stack_key(run[2]) or run[:2], []).append(run)
+    for rs in same.values():  # a row is one decision of the key's shape
+        size = max(1, _STACK_BYTES // (8 * np.size(rs[0][2].x)))
+        chunks |= {rs[k][:2]: rs[k : k + size] for k in range(0, len(rs), size)}
     for run in runs:  # a chunk plays where its first run would
         if run[:2] in chunks:
             group = chunks[run[:2]]

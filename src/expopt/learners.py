@@ -23,7 +23,7 @@ bits it has stepped alone.  :class:`Learner` is the base of every stateful
 learner; :class:`ExpMd`, :class:`ExpFtrl` and their spectral twins share one
 constructor and declare only their init and ``_step``, which finds the step in
 its module when called.  A family declares how its runs stack in one ``_Stacking``;
-the rows of a stack share only ``round`` and ``reg_rounds``.
+:func:`stack_key`, :func:`stack` and :func:`row_of` group, stack and split any runs.
 Every learner's step, these and the baselines', checks its inputs in one
 place, :func:`_inputs`, and runs under one floating-point guard.  A non-finite
 gradient, hint or regularizer weight, an overflow, invalid operation or
@@ -34,7 +34,7 @@ raises :class:`NumericRangeError`, and a negative regularizer weight
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -99,13 +99,21 @@ class ScheduleParams:
     geometry = VECTORS  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
         _fill_schedule(self, self.dim)
 
 
-def _fill_schedule(sched, k: int) -> None:
-    """Validate a schedule and fill its defaults for ``k`` = dim or min(m, n)."""
+def _dims(*dims) -> tuple:
+    """``dims`` as ints: ``TypeError`` for a bool or non-integer, ``ValueError`` below 1."""
+    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
+        raise TypeError(f"dimensions must be integers, got {dims}")
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dimensions must be positive, got {dims}")
+    return tuple(map(int, dims))
+
+
+def _fill_schedule(sched, *dims) -> None:
+    """Validate a schedule on ``dims`` (dim, or m and n) and fill its defaults for their least."""
+    k = min(_dims(*dims))
     if not sched.radius > 0:
         raise ValueError("radius must be positive")
     if sched.beta is None:
@@ -125,7 +133,7 @@ def _fill_schedule(sched, k: int) -> None:
 _RowSchedule = namedtuple("_RowSchedule", "geometry eta beta epsilon0")
 
 # How a family's runs stack: ``key(learner)``, what they share besides the family, state type
-# and shape, and ``advance(learners, balls)``, their stack's step rule, radii as ``_RowBalls``.
+# and shape (``None``: step alone), and ``advance(learners, balls)``, their stack's step rule.
 _Stacking = namedtuple("_Stacking", "key advance")
 
 # The entropy parameters of stacked runs, one ``alpha`` per row ``(rows, 1)``, each
@@ -138,8 +146,7 @@ class OmdState:
     """Mirror-descent learner state: current point and hint bookkeeping.
 
     ``factor`` caches the geometry's scale-free mirror direction of ``x``;
-    ``None`` rebuilds it from ``x`` on the next step.  Stacked runs that share
-    ``round`` hold one row per run in every other field, ``sum_sq`` as ``(rows,)``.
+    ``None`` rebuilds it from ``x`` on the next step.
     """
 
     x: np.ndarray
@@ -157,8 +164,7 @@ class FtrlState:
     the dual point for any round is ``alpha * anchor_dual - g_accum - h``
     (for matrices it is the anchor's factors with the spectrum replaced by
     its direction).  ``reg_rounds`` is the accumulated composite-regularizer
-    weight (``t + 1`` under unit per-round weights).  Stacked runs share
-    ``round`` and ``reg_rounds`` and hold one row per run in every other field.
+    weight (``t + 1`` under unit per-round weights).
     """
 
     g_accum: np.ndarray
@@ -290,8 +296,8 @@ def omd_step(
     stochastic-acceleration wrapper).
 
     A stacked state steps each row bit for bit as alone, on a :class:`_RowSchedule`
-    and in the free space or on balls, a :class:`~expopt.baselines._RowBalls` for one
-    radius per row; ``g`` and ``h_next`` then have the rows' leading axis.
+    and in the free space or on balls of one radius per row; ``g`` and ``h_next`` then
+    have the rows' leading axis.
     """
     geo = sched.geometry
     g, h_next = _inputs(state.h_prev.shape, g, h_next, reg_weight)
@@ -380,6 +386,46 @@ class Learner:
     def step(self, g, h_next=None, reg_weight: float = 1.0):
         self.state, self._x = self._advance(self.state, g, h_next, reg_weight)
         return self._x
+
+
+def stack_key(learner):
+    """What runs must share to step as the rows of one :func:`stack`, or ``None`` for a run
+    that steps alone: their family's ``_stacking``, state type, decision shape and the family's
+    key.  A run stacks only unpatched, on a ball, of a class that declares its own ``_step`` or
+    ``_stacking``, and with a key: a subclass steps alone, through its own ``step``."""
+    kind = type(learner)
+    declared = "step" not in vars(learner) and vars(kind).keys() & {"_step", "_stacking"}
+    family = getattr(kind, "_stacking", None) if declared else None
+    on_ball = isinstance(getattr(learner, "mode", None), BallConstraint)
+    key = family.key(learner) if family and on_ball else None
+    return None if key is None else (family, type(learner.state), np.shape(learner.x), key)
+
+
+def _fieldwise(values, leaf):
+    """``values[0]``, each field that the rows of a :func:`stack` do not share replaced by
+    ``leaf`` of that field's arrays in all ``values``."""
+    first = values[0]
+    if first is None:  # a vector mirror-descent factor, rebuilt from ``x``
+        return None
+    if is_dataclass(first):
+        return replace(first, **{f.name: _fieldwise([getattr(v, f.name) for v in values], leaf)
+                                 for f in fields(first) if f.name not in ("round", "reg_rounds")})
+    return leaf(values)
+
+
+def row_of(state, j):
+    """Row ``j`` of a stacked state as the run alone holds it."""
+    return _fieldwise([state], lambda a: a[0][j] if a[0].ndim > 1 else float(a[0][j]))
+
+
+def stack(learners) -> Learner:
+    """Learners that started together and share a :func:`stack_key`, as one learner stepped as
+    the first one's family declares.  The stack's state holds one row per run in every field
+    but ``round`` and ``reg_rounds``, which the rows share; :func:`row_of` splits it."""
+    balls = BallConstraint(np.array([[lrn.mode.radius] for lrn in learners]))
+    advance = learners[0]._stacking.advance(learners, balls)
+    x = np.stack([lrn.x for lrn in learners])
+    return Learner(_fieldwise([lrn.state for lrn in learners], np.stack), x, advance)
 
 
 def _exponentiated_rows(learners, balls):  # one ``eta`` per row, through the class's own step

@@ -68,15 +68,20 @@ class CompositeRegularizer:
         return CompositeRegularizer(self.l1 * weight, self.l2 * weight)
 
 
+def _check_radius(r) -> None:
+    """``ValueError`` unless ``r``, a ball radius or an array of them, is positive and finite."""
+    if not (((0 < r) & (r < math.inf)).all() if isinstance(r, np.ndarray) else 0 < r < math.inf):
+        raise ValueError("ball radius must be positive and finite")
+
+
 @dataclass(frozen=True)
 class BallConstraint:
-    """l1 (or nuclear) ball of given positive, finite radius."""
+    """l1 (or nuclear) ball of given positive, finite radius, or one per row ``(rows, 1)``."""
 
     radius: float
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError("ball radius must be positive and finite")
+        _check_radius(self.radius)
 
 
 # Feasibility mode of a learner: None for the free space, a BallConstraint

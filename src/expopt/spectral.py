@@ -136,9 +136,7 @@ class SpectralSchedule:
     geometry = MATRICES  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("matrix dimensions must be positive")
-        learners._fill_schedule(self, min(self.m, self.n))
+        learners._fill_schedule(self, self.m, self.n)
 
 
 def spectral_reg_value(x, p: EntropyParams) -> float:

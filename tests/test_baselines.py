@@ -198,6 +198,23 @@ class TestWeightedProjection:
         assert np.sum(s) == pytest.approx(radius, abs=1e-10)
 
 
+# a radius that is not positive and finite is no ball: each projection says so, as
+# ``BallConstraint`` does, instead of returning a point for it
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("project", [
+    lambda radius: weighted_l1_ball_project(np.array([3.0, 1.0]), np.ones(2), radius),
+    lambda radius: euclidean_nuclear_ball_project(np.diag([3.0, 1.0]), radius),
+    lambda radius: weighted_l1_ball_project(np.ones((2, 3)), np.ones((2, 3)),
+                                            np.array([[1.0], [radius]])),
+    lambda radius: euclidean_nuclear_ball_project(np.ones((2, 3, 2)), np.array([[radius], [1.0]])),
+], ids=["weighted_l1", "nuclear", "weighted_l1_rows", "nuclear_rows"])
+def test_a_projection_rejects_a_radius_that_is_not_positive_and_finite(project, radius):
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        project(radius)
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        BallConstraint(radius)
+
+
 class TestAdaGrad:
     def test_zero_gradient_keeps_state(self):
         st = diag_init(3)

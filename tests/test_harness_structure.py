@@ -1,8 +1,9 @@
-"""The harness names no learner class: it defines none, and its round loop imports only
-the ``Learner`` base and ``_RowBalls`` from the learner modules.
+"""The harness names no learner class: it defines none, its round loop takes only the
+stacking functions from the learner modules, and no harness module imports a private name.
 
-Each family declares its own steps and how its runs stack, so a learner written inside the
-harness, or a round loop that picks learner classes apart, is a second copy of that family.
+Each family declares its own steps and how its runs stack, and the learner layer stacks and
+splits them, so a learner written inside the harness, or a round loop that picks learner
+classes or states apart, is a second copy of that family or of the stacking rule.
 """
 
 import ast
@@ -10,6 +11,8 @@ import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import expopt.harness
 from expopt.harness import experiments
@@ -45,10 +48,19 @@ def test_no_harness_module_defines_a_learner_class():
     assert defined == []
 
 
-def test_the_round_loop_imports_only_the_learner_base_and_row_balls():
+def test_the_round_loop_takes_only_the_stacking_functions_from_the_learner_modules():
     tree = ast.parse(Path(experiments.__file__).read_text())
     found = set(imports(tree, "expopt.harness"))
     assert ("expopt.harness", "registry") in found  # the imports were read
     taken = {(module, name) for module, name in found
              if module in LEARNER_MODULES or f"{module}.{name}" in LEARNER_MODULES}
-    assert taken <= {("expopt.learners", "Learner"), ("expopt.baselines", "_RowBalls")}
+    assert taken == {("expopt.learners", name) for name in ("stack_key", "stack", "row_of")}
+
+
+@pytest.mark.parametrize("name", ["expopt.harness", *HARNESS])
+def test_no_harness_module_imports_a_private_name(name):
+    mod = importlib.import_module(name)
+    found = imports(ast.parse(Path(mod.__file__).read_text()), mod.__package__)
+    private = [(module, imported) for module, imported in found if module.startswith("expopt")
+               and (imported or module.rpartition(".")[2]).startswith("_")]
+    assert private == []

@@ -38,6 +38,10 @@ class TestSchedule:
             ScheduleParams(dim=0, radius=1.0)
         with pytest.raises(ValueError):
             ScheduleParams(dim=3, radius=-1.0)
+        for dim in (True, np.True_, 2.5, 3.0, "3"):  # a bool or a non-integer is no dimension
+            with pytest.raises(TypeError, match="integers"):
+                ScheduleParams(dim, 1.0)
+        assert omd_init(ScheduleParams(np.int64(4), 1.0)).x.shape == (4,)
 
 
 class TestOmdStep:

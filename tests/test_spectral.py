@@ -232,7 +232,13 @@ class TestSpectralLearners:
         assert s.beta == pytest.approx(0.25)
         assert s.eta == pytest.approx(math.sqrt(1.0 / (math.log(4.0) + math.log(4))))
 
-    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0)])
-    def test_schedule_rejects_an_empty_dimension(self, m, n):
-        with pytest.raises(ValueError, match="dimensions"):
+    @pytest.mark.parametrize("m,n,error", [
+        (0, 3, ValueError), (3, 0, ValueError),
+        (True, 3, TypeError), (3, np.True_, TypeError), (2.5, 2, TypeError), (3, 2.0, TypeError),
+    ])
+    def test_schedule_rejects_an_empty_dimension(self, m, n, error):
+        with pytest.raises(error, match="dimensions"):
             SpectralSchedule(m, n, 1.0)
+
+    def test_schedule_takes_numpy_integer_dimensions(self):
+        assert SpectralSchedule(np.int64(3), np.int32(2), 1.0).beta == 0.5

@@ -21,10 +21,10 @@ import pytest
 from expopt import AdaFtrl, AdaGrad, BallConstraint, DiagProxState, ExpFtrl, ExpMd
 from expopt import NumericRangeError, ScheduleParams, SpectralExpFtrl, SpectralExpMd
 from expopt import SpectralSchedule, baselines, learners, spectral
-from expopt.baselines import _diag_step, _RowBalls, adaftrl_step, adagrad_step, diag_init
+from expopt.baselines import _diag_step, adaftrl_step, adagrad_step, diag_init
 from expopt.baselines import euclidean_nuclear_ball_project
 from expopt.harness import ExperimentSpec, RegretRecord, TrialFailure, run_experiment
-from expopt.harness import experiments, registry, streams
+from expopt.harness import registry, streams
 from expopt.harness.streams import gen_logistic_stream, gen_multitask_stream, logistic_loss_grad
 from expopt.harness.streams import multitask_loss_grad
 
@@ -138,7 +138,7 @@ def test_a_stacked_step_gives_each_row_the_state_of_its_step_alone(dim):
                             for f in ("h_diag", "g_accum", "x", "h_prev")], 1, 1.0)
     for _ in range(6):
         g = rng.standard_normal((len(leader), dim)) * rng.choice([0.0, 1.0], (len(leader), dim))
-        stack, _ = _diag_step(stack, g, _RowBalls(radii), None, 1.0, leader)
+        stack, _ = _diag_step(stack, g, BallConstraint(radii), None, 1.0, leader)
         for j, (lead, radius) in enumerate(zip(leader[:, 0], radii[:, 0])):
             step = adaftrl_step if lead else adagrad_step
             alone[j], _ = step(alone[j], g[j], BallConstraint(radius))
@@ -438,8 +438,8 @@ def bits(value):
 
 
 def stacked_state(states):
-    """Lone learner states as the rows of one state, as the harness stacks them."""
-    return experiments._stacked(states)
+    """Lone learner states as the rows of one state, as :func:`learners.stack` stacks them."""
+    return learners._fieldwise(states, np.stack)
 
 
 @pytest.mark.parametrize("shape", [(5,), (500,), (6, 3), (20, 5)])
@@ -458,7 +458,7 @@ def test_a_stacked_exponentiated_step_gives_each_row_the_state_of_its_step_alone
     stack = stacked_state(alone)
     rows = learners._RowSchedule(scheds[0].geometry, np.array([[s.eta] for s in scheds]),
                                  scheds[0].beta, scheds[0].epsilon0)
-    balls = _RowBalls(np.array([[r] for r in radii]))
+    balls = BallConstraint(np.array([[r] for r in radii]))
     for _ in range(6):
         g = rng.standard_normal((len(radii), *shape)) * rng.uniform(0.1, 20.0)
         stack, xs = step(stack, g, rows, balls)
@@ -467,7 +467,7 @@ def test_a_stacked_exponentiated_step_gives_each_row_the_state_of_its_step_alone
             assert xs[j].tobytes() == x.tobytes()
         for f in (field.name for field in dataclasses.fields(stack)):
             for j in range(len(radii)):
-                got = getattr(experiments._row(stack, j), f)
+                got = getattr(learners.row_of(stack, j), f)
                 assert bits(got) == bits(getattr(alone[j], f)), f
     assert stack.round == alone[0].round
 
@@ -586,26 +586,44 @@ def test_a_family_that_declares_its_stacking_steps_its_runs_as_one_stack(pin_bla
     assert [repr(r) for r in records] == [repr(r) for r in each_alone(spec)]
 
 
-class OwnStepExpMd(ExpMd):
-    """A user subclass that declares its own step: it stacks only with its own class."""
+# a user subclass that declares its own step, and how to build it from its base's learner:
+# the exponentiated family stacks it only with its own class, the diagonal one not at all
+OWN_STEPS = {
+    "exp_md": (ExpMd, lambda *a: learners.omd_step(*a), lambda base, dim: (base.sched, base.mode)),
+    "adagrad": (AdaGrad, lambda *a: adagrad_step(*a), lambda base, dim: (dim, base.mode)),
+}
 
-    _step = staticmethod(lambda *a: learners.omd_step(*a))
 
-
-def test_a_subclass_with_its_own_step_stacks_apart_from_its_base(monkeypatch):
-    spec = ExperimentSpec(kind="logistic", dim=20, horizon=10, trials=3, algorithms=("exp_md",),
+@pytest.mark.parametrize("name", sorted(OWN_STEPS))
+def test_a_subclass_with_its_own_step_stacks_apart_from_its_base(monkeypatch, name):
+    spec = ExperimentSpec(kind="logistic", dim=20, horizon=10, trials=3, algorithms=(name,),
                           seed=5)
     expected, _ = run_experiment(spec)
+    base_class, base_step, args = OWN_STEPS[name]
+    own = []  # the gradient shape of each call of the subclass's step
+
+    class OwnStep(base_class):
+        @staticmethod
+        def _step(state, g, *rest):
+            own.append(np.shape(g))
+            return base_step(state, g, *rest)
+
     build, built = registry.build_vector_learner, itertools.count()
 
     def first_subclassed(name, dim, radius):  # trial 0's run is the subclass's
         base = build(name, dim, radius)
-        return OwnStepExpMd(base.sched, base.mode) if next(built) == 0 else base
+        return OwnStep(*args(base, dim)) if next(built) == 0 else base
 
     monkeypatch.setattr(registry, "build_vector_learner", first_subclassed)
-    rows = exponentiated_steps(monkeypatch)
+    steps, step = [], learners.Learner.step
+
+    def spy(learner, g, *rest):  # every learner's step, alone or stacked
+        steps.append(np.shape(g))
+        return step(learner, g, *rest)
+
+    monkeypatch.setattr(learners.Learner, "step", spy)
     records, failures = run_experiment(spec)
     assert not failures and records == expected
-    # each round: the subclass's run alone, and the two ExpMd runs as one stack
-    assert collections.Counter(rows["omd_step"]) == {1: spec.horizon, 2: spec.horizon}
-    assert list(rows) == ["omd_step"]
+    # each round: the subclass's run alone, through its own step, and the other two as one stack
+    assert own == [(spec.dim,)] * spec.horizon
+    assert collections.Counter(steps) == {(spec.dim,): spec.horizon, (2, spec.dim): spec.horizon}

@@ -352,6 +352,22 @@ def test_baselines_reject_an_empty_dimension():
     ):
         with pytest.raises(ValueError, match="dim"):
             make()
+    # a bool or a non-integer is no dimension; numpy integers are
+    for make in (
+        lambda: diag_init(True),
+        lambda: diag_init(2.5),
+        lambda: diag_init((4, True)),
+        lambda: diag_init((4, 2.0)),
+        lambda: eg_pm_init(2.5),
+        lambda: AdaGrad(np.True_),
+        lambda: AdaFtrl((2.5, 3)),
+        lambda: EgPm(True, 1.0),
+        lambda: EgPm(2.5, 1.0),
+    ):
+        with pytest.raises(TypeError, match="integers"):
+            make()
+    assert diag_init((np.int64(4), np.int32(3))).x.shape == (4, 3)
+    assert EgPm(np.int64(3), 1.0).step(np.ones(3)).shape == (3,)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
