@@ -144,10 +144,11 @@ def weighted_l1_ball_project(y, weights, radius):
     A stack ``y`` of ``(rows, d)``, with ``weights`` alike and ``radius`` a float or one
     per row ``(rows, 1)``, projects each row onto its ball, bit for bit as that row alone.
 
-    Raises ``ValueError`` for a radius that is not positive and finite, and
-    :class:`NumericRangeError` when ``y`` has a NaN or infinite coordinate,
-    which the feasibility test's own sum shows, or when the guard trips (that
-    sum overflows, say).
+    Raises ``ValueError`` for a radius that is not positive and finite or, when ``y`` lies
+    outside its ball, a weight at or below 0, and :class:`NumericRangeError` when ``y`` has a
+    NaN or infinite coordinate, which the feasibility test's own sum shows, when ``y`` lies
+    outside its ball and a weight is NaN or infinite, or when the guard trips (that sum
+    overflows, say).  A point inside its ball passes without a look at its weights.
     """
     _check_radius(radius)
     y = np.asarray(y, dtype=float)
@@ -169,6 +170,10 @@ def weighted_l1_ball_project(y, weights, radius):
         out, p = y.copy(), ~inside[:, 0]
         out[p] = weighted_l1_ball_project(y[p], w[p], np.broadcast_to(radius, norm.shape)[p])
         return out
+    # here every row projects, and its weights are checked once: min and max, NaN failing both
+    if not (0 < w.min() and w.max() < math.inf):
+        error = ValueError if np.isfinite(w).all() else NumericRangeError
+        raise error("weighted l1-ball projection needs positive, finite weights")
     if y.shape[-1] < _FILTER_MIN_DIM:
         tau = _breakpoint_threshold(abs_y, w, radius)
         return np.sign(y) * np.maximum(abs_y - tau / w, 0.0)
@@ -364,6 +369,7 @@ class EgPm(Learner):
     """
 
     def __init__(self, dim: int, radius: float, stepsize: float | None = None):
+        (dim,) = _dims(dim)
         if not 0 < radius < math.inf:
             raise ValueError("radius must be positive and finite")
         if stepsize is not None and not 0 < stepsize < math.inf:

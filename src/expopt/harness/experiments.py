@@ -145,6 +145,13 @@ class TrialFailure:
     error: str
 
 
+def _detached(exc):
+    """``exc`` without its traceback or the errors it was raised from: their frames would hold
+    the play that raised it, its learners and its round's block, in a cycle through ``exc``."""
+    exc.__cause__ = exc.__context__ = None
+    return exc.with_traceback(None)
+
+
 def _regrets(learners, oracle, *rounds):
     """Cumulative regret of each run, one round iterator each, checked before it steps: per
     round, each live run's value or the numeric error (oracle, regret or step) that ends it.
@@ -163,7 +170,7 @@ def _regrets(learners, oracle, *rounds):
             if not math.isfinite(cums[i]):
                 raise NumericRangeError(f"cumulative regret is not finite ({cums[i]})")
         except _NUMERIC_ERRORS as exc:
-            return exc, None
+            return _detached(exc), None
         return cums[i], grad
 
     while live:
@@ -186,7 +193,7 @@ def _regrets(learners, oracle, *rounds):
                     if grad is not None:
                         learners[i].step(grad)
                 except _NUMERIC_ERRORS as exc:
-                    values[j] = exc
+                    values[j] = _detached(exc)
             live = [i for i, value in zip(live, values) if not isinstance(value, Exception)]
             if stacked is not None and live:
                 stacked = stack([learners[i] for i in live])
@@ -208,7 +215,7 @@ def _objectives(name, batch, spec, problem, seed_seq, rounds):
                 raise NumericRangeError(f"objective value is not finite ({value})")
             yield [value]
     except _NUMERIC_ERRORS as exc:
-        yield [exc]
+        yield [_detached(exc)]
 
 
 def _collect(groups, blocks):

@@ -33,6 +33,7 @@ raises :class:`NumericRangeError`, and a negative regularizer weight
 """
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields, is_dataclass, replace
 
@@ -51,6 +52,7 @@ __all__ = [
     "ScheduleParams",
     "OmdState",
     "FtrlState",
+    "resolve_dual_point",
     "omd_init",
     "omd_step",
     "ftrl_init",
@@ -99,21 +101,30 @@ class ScheduleParams:
     geometry = VECTORS  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
-        _fill_schedule(self, self.dim)
+        _fill_schedule(self, "dim")
 
 
 def _dims(*dims) -> tuple:
-    """``dims`` as ints: ``TypeError`` for a bool or non-integer, ``ValueError`` below 1."""
-    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in dims):
-        raise TypeError(f"dimensions must be integers, got {dims}")
-    if not dims or min(dims) < 1:
+    """``dims`` as ints, each through ``operator.index``: ``TypeError`` for a bool or a value it
+    rejects, ``ValueError`` below 1."""
+    try:
+        if any(isinstance(d, bool) for d in dims):
+            raise TypeError
+        ints = tuple(map(operator.index, dims))
+    except TypeError:
+        raise TypeError(f"dimensions must be integers, got {dims}") from None
+    if not ints or min(ints) < 1:
         raise ValueError(f"dimensions must be positive, got {dims}")
-    return tuple(map(int, dims))
+    return ints
 
 
-def _fill_schedule(sched, *dims) -> None:
-    """Validate a schedule on ``dims`` (dim, or m and n) and fill its defaults for their least."""
-    k = min(_dims(*dims))
+def _fill_schedule(sched, *names) -> None:
+    """Validate a schedule on its dimension fields ``names`` (dim, or m and n), store them as
+    ints and fill its defaults for their least."""
+    dims = _dims(*(getattr(sched, name) for name in names))
+    for name, d in zip(names, dims):
+        object.__setattr__(sched, name, d)
+    k = min(dims)
     if not sched.radius > 0:
         raise ValueError("radius must be positive")
     if sched.beta is None:

@@ -136,7 +136,7 @@ class SpectralSchedule:
     geometry = MATRICES  # unannotated: a class attribute, not a field
 
     def __post_init__(self):
-        learners._fill_schedule(self, self.m, self.n)
+        learners._fill_schedule(self, "m", "n")
 
 
 def spectral_reg_value(x, p: EntropyParams) -> float:
@@ -146,9 +146,10 @@ def spectral_reg_value(x, p: EntropyParams) -> float:
 
 
 def spectral_grad(x, p: EntropyParams) -> np.ndarray:
-    """Gradient ``u @ diag(mirror_map(s)) @ vt`` of the spectral regularizer."""
+    """Gradient ``u @ diag(mirror_map(s)) @ vt`` of the spectral regularizer; of a stack
+    ``(rows, m, n)``, each matrix's gradient."""
     f = svd(x)
-    return (f.u * mirror_map(f.s, p)) @ f.vt
+    return _recompose(f.u, mirror_map(f.s, p), f.vt)
 
 
 def spectral_bregman(x, y, p: EntropyParams) -> float:
@@ -164,10 +165,10 @@ def spectral_bregman(x, y, p: EntropyParams) -> float:
 
 
 def spectral_prox(y, reg: CompositeRegularizer, p: EntropyParams) -> np.ndarray:
-    """Nuclear/Frobenius composite prox: factor, shrink the spectrum, recompose."""
+    """Nuclear/Frobenius composite prox: factor, shrink the spectrum, recompose; of a stack
+    ``(rows, m, n)``, each matrix's prox."""
     f = svd(y)
-    shrunk = elastic_net_prox(f.s, reg, p)
-    return (f.u * shrunk) @ f.vt
+    return _recompose(f.u, elastic_net_prox(f.s, reg, p), f.vt)
 
 
 def _project_spectrum(y, radius, project) -> np.ndarray:

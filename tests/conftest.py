@@ -72,3 +72,18 @@ def pin_blas():
     before = get()
     yield set_
     set_(before)
+
+
+@pytest.fixture
+def index():
+    """A type whose values are integers to ``operator.index`` and nothing else, as the
+    ``ExperimentSpec`` fields and ``EstimatorConfig.batch`` take them."""
+
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    return Index

@@ -215,6 +215,28 @@ def test_a_projection_rejects_a_radius_that_is_not_positive_and_finite(project, 
         BallConstraint(radius)
 
 
+# a weight that is not positive and finite is no metric: [1, -1, 1] returned [1, 3, 0], off
+# the ball, and a NaN weight a NaN row, or an IndexError on the filtered scan
+@pytest.mark.parametrize("bad,error", [(-1.0, ValueError), (0.0, ValueError),
+                                       (np.nan, NumericRangeError), (np.inf, NumericRangeError),
+                                       (-np.inf, NumericRangeError)])
+@pytest.mark.parametrize("where", ["alone", "row", "filtered"])
+def test_a_projection_rejects_a_weight_that_is_not_positive_and_finite(bad, error, where):
+    y, w = np.array([3.0, 1.0, 2.0]), np.array([1.0, bad, 1.0])
+    if where == "row":  # the second row of a stack, whose first row lies inside its ball
+        y, w = np.stack([0.1 * y, y]), np.stack([np.ones(3), w])
+    elif where == "filtered":
+        y, w = np.linspace(-2.0, 2.0, 2000), np.ones(2000)
+        w[1234] = bad
+    with pytest.raises(error, match="weights"):
+        weighted_l1_ball_project(y, w, 1.0)
+
+
+def test_a_point_inside_its_ball_passes_whatever_its_weights():
+    y = np.array([0.2, -0.3, 0.1])
+    assert np.array_equal(weighted_l1_ball_project(y, np.array([1.0, np.nan, -1.0]), 1.0), y)
+
+
 class TestAdaGrad:
     def test_zero_gradient_keeps_state(self):
         st = diag_init(3)

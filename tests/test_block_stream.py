@@ -8,8 +8,10 @@ those of one call that draws everything, bit for bit.
 """
 
 import dataclasses
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -231,3 +233,48 @@ def test_multitask_trials_hold_a_quarter_of_one_stream_at_most(monkeypatch, tria
     # 50 rounds a block for one trial, 25 for two, 2 for twenty
     assert trials * max(rows) * 8 * tasks * dim <= horizon * tasks * dim * 8 // 4
     assert max(rows) == horizon // 4 // trials
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_a_failed_run_leaves_no_cycle_that_holds_its_block(monkeypatch, chained):
+    # eg_pm's 3rd oracle call fails; with the collector off, only references free a block
+    spec = ExperimentSpec(kind="logistic", dim=2000, horizon=2000, trials=1,
+                          algorithms=("eg_pm", "exp_md"), seed=1)
+    draw, oracle, calls = streams.logistic_blocks, streams.logistic_loss_grad, itertools.count(1)
+    first, alive = [], []
+
+    def spied_blocks(*args):
+        w_star, blocks = draw(*args)
+
+        def spied():
+            for k, block in enumerate(blocks):
+                if k == 0:
+                    first.append(weakref.ref(block[0]))
+                elif k > 1:  # every run has left the first block by the third
+                    alive.append(first[0]() is not None)
+                yield block
+
+        return w_star, spied()
+
+    def failing_oracle(w, x, y):
+        if next(calls) == 3:
+            if not chained:
+                raise np.linalg.LinAlgError("injected")
+            try:  # as the floating-point guard raises
+                raise FloatingPointError("overflow")
+            except FloatingPointError as err:
+                raise NumericRangeError("injected") from err
+        return oracle(w, x, y)
+
+    monkeypatch.setattr(streams, "logistic_blocks", spied_blocks)
+    monkeypatch.setattr(streams, "logistic_loss_grad", failing_oracle)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records, failures = run_experiment(spec)
+        assert [(f.algorithm, f.round, f.error) for f in failures] == [("eg_pm", 3, "injected")]
+        assert len(records) == 2 + spec.horizon
+        assert len(alive) > 2 and not any(alive)
+    finally:
+        if enabled:
+            gc.enable()

@@ -33,7 +33,7 @@ class TestSchedule:
         s = ScheduleParams(dim=4, radius=1.0, eta=0.5, beta=0.3, epsilon0=0.0)
         assert (s.eta, s.beta, s.epsilon0) == (0.5, 0.3, 0.0)
 
-    def test_validation(self):
+    def test_validation(self, index):
         with pytest.raises(ValueError):
             ScheduleParams(dim=0, radius=1.0)
         with pytest.raises(ValueError):
@@ -42,6 +42,7 @@ class TestSchedule:
             with pytest.raises(TypeError, match="integers"):
                 ScheduleParams(dim, 1.0)
         assert omd_init(ScheduleParams(np.int64(4), 1.0)).x.shape == (4,)
+        assert ExpMd(ScheduleParams(index(4), 1.0)).step(np.ones(4)).shape == (4,)
 
 
 class TestOmdStep:

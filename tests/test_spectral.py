@@ -240,5 +240,17 @@ class TestSpectralLearners:
         with pytest.raises(error, match="dimensions"):
             SpectralSchedule(m, n, 1.0)
 
-    def test_schedule_takes_numpy_integer_dimensions(self):
+    def test_schedule_takes_numpy_integer_dimensions(self, index):
         assert SpectralSchedule(np.int64(3), np.int32(2), 1.0).beta == 0.5
+        learner = SpectralExpMd(SpectralSchedule(index(3), 2, 1.0))
+        assert learner.step(np.ones((3, 2))).shape == (3, 2)
+
+
+# the factors of a stack are stacks too: a hand-written ``(u * s) @ vt`` paired each spectrum
+# with the wrong matrix when rows == m, off by up to 1.30, and raised for any other stack
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 4, 3), (2, 3, 5)])
+def test_the_spectral_prox_and_gradient_of_a_stack_are_those_of_each_matrix(shape):
+    ys = 3.0 * np.random.default_rng(0).standard_normal(shape)
+    reg, p = CompositeRegularizer(0.2, 0.1), EntropyParams(1.0, 0.1)
+    for op in (lambda y: spectral_prox(y, reg, p), lambda y: spectral_grad(y, p)):
+        assert op(ys).tobytes() == np.stack([op(y) for y in ys]).tobytes()

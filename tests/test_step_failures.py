@@ -338,7 +338,7 @@ def test_a_non_finite_anchor_is_rejected_at_construction(bad):
             make()
 
 
-def test_baselines_reject_an_empty_dimension():
+def test_baselines_reject_an_empty_dimension(index):
     from expopt import EgPm, diag_init, eg_pm_init
 
     for make in (
@@ -368,6 +368,12 @@ def test_baselines_reject_an_empty_dimension():
             make()
     assert diag_init((np.int64(4), np.int32(3))).x.shape == (4, 3)
     assert EgPm(np.int64(3), 1.0).step(np.ones(3)).shape == (3,)
+    # so is what ``operator.index`` takes, as in ``ExperimentSpec``
+    assert diag_init((index(4), 3)).x.shape == (4, 3)
+    assert eg_pm_init(index(2)).log_weights.shape == (4,)
+    assert AdaGrad(index(3)).x.shape == (3,)
+    assert AdaFtrl((2, index(3))).x.shape == (2, 3)
+    assert EgPm(index(3), 1.0).step(np.ones(3)).shape == (3,)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
