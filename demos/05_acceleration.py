@@ -21,8 +21,9 @@ def run(grad_fn, objective, horizon):
     acc = Accelerator(learner)
     errs = []
     for _ in range(horizon):
-        z = acc.step(grad_fn)
+        z = acc.x
         errs.append(objective(z))
+        acc.step(grad_fn(z))
     return np.array(errs)
 
 

@@ -1,12 +1,16 @@
 """Experiment orchestration, regret accounting, and CSV/metadata output.
 
 Every trial draws its own child of ``SeedSequence(seed)`` and generates its
-data block by block.  All runs of all trials of a spec advance together, a
-block of rounds at a time, through one round loop; the trials share
-``streams.BLOCK_BYTES`` of features.  The harness groups the runs by
-:func:`~expopt.learners.stack_key` and plays each group; the learner layer stacks
-and splits a group's runs, each row bit for bit as alone.  A blackbox trial is
-one block.  A side-effecting oracle sees the runs interleaved.
+data block by block.  A run is a learner and its score, which gives the run's
+value and gradient at its decision each round: the cumulative regret of a
+logistic or multitask run, or the objective at an accelerated black-box run's
+query point with a two-point gradient estimate.  All runs of all trials of a
+spec advance together, a block of rounds at a time, through one round loop;
+the trials share ``streams.BLOCK_BYTES`` of features.  The harness groups the
+runs by :func:`~expopt.learners.stack_key` and plays each group with one play;
+the learner layer stacks and splits a group's runs, each row bit for bit as
+alone.  A blackbox trial is one block, and each of its runs steps alone.  A
+side-effecting oracle sees the runs interleaved.
 Runs keep floats; :func:`run_experiment` makes rows, sorted by (algorithm, trial,
 round), floats written in their shortest round-trip form, so equal configurations
 give byte-identical CSV files.  A numeric error of an oracle, step or objective,
@@ -14,7 +18,6 @@ or a non-finite loss, regret or objective, ends only its own run, stacked or
 alone, with a :class:`TrialFailure` at the round, no row.
 """
 
-import functools
 import itertools
 import json
 import math
@@ -152,31 +155,59 @@ def _detached(exc):
     return exc.with_traceback(None)
 
 
-def _regrets(learners, oracle, *rounds):
-    """Cumulative regret of each run, one round iterator each, checked before it steps: per
-    round, each live run's value or the numeric error (oracle, regret or step) that ends it.
-    Two or more learners step as one :func:`~expopt.learners.stack`; at a round where a row
-    ends, each row is replayed through its learner's own ``step``, as the row alone."""
-    live, cums = list(range(len(learners))), [0.0] * len(learners)
+def _regret(oracle):
+    """A run's score: its cumulative regret and the loss gradient at each round
+    ``(x, y, comparator loss)``."""
+    cum = 0.0
+
+    def score(w, round_):
+        nonlocal cum
+        x, y, comp_loss = round_
+        loss, grad = oracle(w, x, y)
+        cum += loss - comp_loss
+        if not math.isfinite(cum):
+            raise NumericRangeError(f"cumulative regret is not finite ({cum})")
+        return cum, grad
+
+    return score
+
+
+def _objective(problem, cfg, rng):
+    """A black-box run's score: the objective at the query point and the two-point gradient
+    of its smooth part, estimated first: the oracle sees a round's estimator points before its
+    objective point."""
+
+    def score(z, _):
+        grad = two_point_grad_rows(problem.smooth, z, cfg, rng)
+        value = problem.objective(z)
+        if not math.isfinite(value):
+            raise NumericRangeError(f"objective value is not finite ({value})")
+        return value, grad
+
+    return score
+
+
+def _play(learners, scores, *rounds):
+    """Each run's value per round, or the numeric error (score or step) that ends it: a run's
+    ``score(x, round)`` gives its value and gradient at its decision ``x``, and then it steps.
+    Two or more learners step as one :func:`~expopt.learners.stack`; at a round where that
+    fails, each row is replayed through its learner's own ``step``, as the row alone."""
+    live = list(range(len(learners)))
     stacked = stack(learners) if len(learners) > 1 else None
 
-    def regret(j, i):  # run i's value and gradient, or its error and None; row j of a stack
-        x, y, comp_loss = next(rounds[i])
+    def score(j, i):  # run i's value and gradient, or its error and None; row j of a stack
+        round_ = next(rounds[i])
         # the decision lives in this call only: held across a yield, it would outlive its
         # round while the other groups play
         try:
-            loss, grad = oracle(learners[i].x if stacked is None else stacked.x[j], x, y)
-            cums[i] += loss - comp_loss
-            if not math.isfinite(cums[i]):
-                raise NumericRangeError(f"cumulative regret is not finite ({cums[i]})")
+            return scores[i](learners[i].x if stacked is None else stacked.x[j], round_)
         except _NUMERIC_ERRORS as exc:
             return _detached(exc), None
-        return cums[i], grad
 
     while live:
         values, grads = [], []
         for j, i in enumerate(live):
-            value, grad = regret(j, i)
+            value, grad = score(j, i)
             values.append(value)
             grads.append(grad)
         stepped = stacked is not None and all(grad is not None for grad in grads)
@@ -185,45 +216,30 @@ def _regrets(learners, oracle, *rounds):
                 stacked.step(np.array(grads))
             except _NUMERIC_ERRORS:
                 stepped = False
-        if not stepped:  # each row alone, through its learner
+        if not stepped:  # each row alone, through its learner; the rows that step play on
+            kept = []
             for j, (i, grad) in enumerate(zip(live, grads)):
                 if stacked is not None:
                     learners[i].state = row_of(stacked.state, j)
                 try:
                     if grad is not None:
                         learners[i].step(grad)
+                        kept.append(i)
                 except _NUMERIC_ERRORS as exc:
                     values[j] = _detached(exc)
-            live = [i for i, value in zip(live, values) if not isinstance(value, Exception)]
+            live = kept
             if stacked is not None and live:
                 stacked = stack([learners[i] for i in live])
         yield values
 
 
-def _objectives(name, batch, spec, problem, seed_seq, rounds):
-    """Objective at the accelerated learner's averaged point each round, or its numeric error."""
-    try:
-        rng = np.random.default_rng(seed_seq)
-        mu = default_smoothing(spec.dim, max(spec.horizon, 1))
-        learner, recipe = registry.accelerated_family(name, spec.dim, problem.reg)
-        cfg = recipe(mu, batch)
-        acc = Accelerator(learner)
-        for _ in rounds:
-            z = acc.step(lambda v: two_point_grad_rows(problem.smooth, v, cfg, rng))
-            value = problem.objective(z)
-            if not math.isfinite(value):
-                raise NumericRangeError(f"objective value is not finite ({value})")
-            yield [value]
-    except _NUMERIC_ERRORS as exc:
-        yield [_detached(exc)]
-
-
 def _collect(groups, blocks):
     """Each run's ``[label, trial, values, failure]``, the groups advancing block by block.
 
-    A group ``(runs, play)`` names its runs' ``(label, trial)``; ``play(*rounds)`` yields each
-    live run's value per round, or once the numeric error that ends it, and raises none.
-    ``blocks`` maps each trial to its equal-sized blocks, each drawn by the first group reading it.
+    A group is a list of runs ``(label, trial, learner, score)`` played as one by :func:`_play`,
+    which yields each live run's value per round, or once the numeric error that ends it, and
+    raises none.  ``blocks`` maps each trial to its equal-sized blocks, each drawn by the first
+    group reading it.
     """
     held, results, going = {}, [], []
 
@@ -231,11 +247,12 @@ def _collect(groups, blocks):
         while True:
             yield from zip(*held[trial])
 
-    for runs, play in groups:
-        rows = [[label, trial, [], None] for label, trial in runs]
+    for runs in groups:
+        rows = [[label, trial, [], None] for label, trial, *_ in runs]
         results += rows
-        outcomes = play(*[rounds_of(t) for _, t in runs])
-        going.append((rows, {t for _, t in runs}, outcomes))
+        learners, scores = [run[2] for run in runs], [run[3] for run in runs]
+        outcomes = _play(learners, scores, *[rounds_of(run[1]) for run in runs])
+        going.append((rows, {run[1] for run in runs}, outcomes))
     while True:
         drawn = set()
         for rows, trials, outcomes in going:  # a run that ended has no more values
@@ -263,7 +280,7 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
     trial's stream.  The runs that share a :func:`~expopt.learners.stack_key`, in order, form
     groups of up to ``_STACK_BYTES`` an array; every other run is a group of one.
     """
-    runs, groups, blocks = [], [], {}
+    runs, blocks = [], {}
     budget = streams.BLOCK_BYTES // len(seeds)
     for trial, seed_seq in seeds.items():
         rng = np.random.default_rng(seed_seq)
@@ -272,11 +289,11 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
             sqrt_batch = max(int(math.isqrt(max(spec.horizon, 1))), 1)
             variants = [(f"{name}@b1", name, 1) for name in spec.algorithms]
             variants += [(f"{name}@bsqrtT", name, sqrt_batch) for name in spec.algorithms]
-            children = seed_seq.spawn(len(variants))
-            groups += [
-                ([(label, trial)], functools.partial(_objectives, name, batch, spec, problem, seq))
-                for (label, name, batch), seq in zip(variants, children)
-            ]
+            mu = default_smoothing(spec.dim, max(spec.horizon, 1))
+            for (label, name, batch), seq in zip(variants, seed_seq.spawn(len(variants))):
+                learner, recipe = registry.accelerated_family(name, spec.dim, problem.reg)
+                score = _objective(problem, recipe(mu, batch), np.random.default_rng(seq))
+                runs.append((label, trial, Accelerator(learner), score))
             blocks[trial] = iter([(range(spec.horizon),)])
             continue
         if spec.kind == "logistic":
@@ -296,19 +313,16 @@ def _run_trials(spec: ExperimentSpec, seeds: dict) -> list:
             radius = float(np.sum(sigma))
             build, oracle = registry.build_matrix_learner, streams.multitask_loss_grad
         radius *= RADIUS_FACTORS[spec.radius_mode]  # 0 for an all-zero truth
-        runs += [(name, trial, build(name, *shape, radius or 1.0)) for name in spec.algorithms]
+        runs += [(name, trial, build(name, *shape, radius or 1.0), _regret(oracle))
+                 for name in spec.algorithms]
     same, chunks = {}, {}  # each stacking key's runs, in order; a lone run is its own key
     for run in runs:
         same.setdefault(stack_key(run[2]) or run[:2], []).append(run)
     for rs in same.values():  # a row is one decision of the key's shape
         size = max(1, _STACK_BYTES // (8 * np.size(rs[0][2].x)))
         chunks |= {rs[k][:2]: rs[k : k + size] for k in range(0, len(rs), size)}
-    for run in runs:  # a chunk plays where its first run would
-        if run[:2] in chunks:
-            group = chunks[run[:2]]
-            play = functools.partial(_regrets, [lrn for *_, lrn in group], oracle)
-            groups.append(([r[:2] for r in group], play))
-    return _collect(groups, blocks)
+    # a chunk plays where its first run would
+    return _collect([chunks[run[:2]] for run in runs if run[:2] in chunks], blocks)
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1):

@@ -3,9 +3,10 @@
 A name table over the library's learner classes; it defines no class.
 Online (regret) experiments use learners exposing ``.x`` and ``.step(g)``
 (the matrix ``adagrad``/``adaftrl`` are ``AdaGrad``/``AdaFtrl`` on an ``(m, n)``
-shape); the black-box experiment wraps accelerated learners around two-point
-gradient estimators, pairing each family with its estimator recipe.  The
-accelerated learners run in elastic-net mode with schedules for radius 1.
+shape); the black-box experiment plays an :class:`~expopt.accelerate.Accelerator`
+around each accelerated family's inner learner, fed two-point gradient estimates
+made by the family's estimator recipe.  The inner learners run in elastic-net
+mode with schedules for radius 1.
 """
 
 import functools

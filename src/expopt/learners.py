@@ -382,7 +382,8 @@ def regret(losses_player, losses_comparator):
 class Learner:
     """A stateful learner: its ``state``, its decision ``x`` and a step rule.
 
-    ``advance(state, g, h_next, reg_weight)`` returns the next state and decision.
+    ``advance(state, g, h_next, reg_weight)`` returns the next state and decision; a
+    subclass that declares its own ``step`` passes none.
     """
 
     def __init__(self, state, x, advance):

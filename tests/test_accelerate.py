@@ -5,9 +5,13 @@ import pytest
 
 from expopt import (
     Accelerator,
+    AdaFtrl,
+    AdaGrad,
     BallConstraint,
     CompositeRegularizer,
     ExpFtrl,
+    ExpMd,
+    NumericRangeError,
     ScheduleParams,
 )
 
@@ -21,9 +25,7 @@ class TestAveraging:
     def test_first_round_ignores_initial_average(self):
         learner = make_ftrl(3, 1.0, x1=np.array([0.2, -0.1, 0.3]))
         acc = Accelerator(learner)
-        acc.state = acc.state.__class__(z=np.full(3, 99.0), weight_sum=0.0, round=1)
-        z1 = acc.step(lambda z: np.zeros(3))
-        assert np.allclose(z1, [0.2, -0.1, 0.3])
+        assert np.allclose(acc.x, [0.2, -0.1, 0.3])
 
     def test_average_is_weighted_combination_of_queries(self):
         # recursive z equals sum_t a_t x_t / a_{1:T} reconstructed directly
@@ -33,11 +35,12 @@ class TestAveraging:
         xs = []
         for t in range(1, 31):
             xs.append(learner.x.copy())
-            z = acc.step(lambda v: rng.uniform(-1, 1, 4))
+            z, weight_sum = acc.x, acc.state.weight_sum
+            acc.step(rng.uniform(-1, 1, 4))
         weights = np.arange(1, 31, dtype=float)
         direct = (weights[:, None] * np.array(xs)).sum(axis=0) / weights.sum()
         assert np.allclose(z, direct, atol=1e-12)
-        assert acc.state.weight_sum == pytest.approx(31 * 30 / 2)
+        assert weight_sum == pytest.approx(31 * 30 / 2)
 
     def test_deterministic_and_reproducible(self):
         outs = []
@@ -45,7 +48,8 @@ class TestAveraging:
             learner = make_ftrl(3, 1.0)
             acc = Accelerator(learner)
             for t in range(20):
-                z = acc.step(lambda v: v + 1.0)
+                z = acc.x
+                acc.step(z + 1.0)
             outs.append(z.copy())
         assert np.array_equal(outs[0], outs[1])
 
@@ -59,7 +63,8 @@ class TestRates:
         acc = Accelerator(learner)
         errs = []
         for t in range(horizon):
-            z = acc.step(lambda v: v)
+            z = acc.x
+            acc.step(z)
             errs.append(0.5 * float(np.dot(z, z)))
         errs = np.array(errs)
         assert errs[-1] <= 1e-3
@@ -75,7 +80,8 @@ class TestRates:
         acc = Accelerator(learner)
         errs = []
         for t in range(2000):
-            z = acc.step(lambda v: np.sign(v))
+            z = acc.x
+            acc.step(np.sign(z))
             errs.append(float(np.sum(np.abs(z))))
         for t in (200, 400, 500):
             assert errs[4 * t - 1] / errs[t - 1] <= 0.6
@@ -94,7 +100,8 @@ class TestRates:
         noise_term = 0.0
         for t in range(1, horizon + 1):
             noise = 0.5 * rng.standard_normal(d)
-            z = acc.step(lambda v: c + noise)
+            z = acc.x
+            acc.step(c + noise)
             noise_term += t**2 * float(np.max(np.abs(noise))) ** 2
         final_err = float(np.dot(c, z)) - best
         weight_total = horizon * (horizon + 1) / 2
@@ -111,6 +118,61 @@ class TestRates:
         learner = make_ftrl(3, 1.0, reg=reg)
         acc = Accelerator(learner)
         for t in range(4):
-            acc.step(lambda v: np.array([0.3, -0.1, 0.2]))
+            acc.step(np.array([0.3, -0.1, 0.2]))
         # r_{1:t+1} accumulated with a_s = s: 1 + 2 + 3 + 4 + 5
         assert learner.state.reg_rounds == pytest.approx(15.0)
+
+
+# a -0.0 in the anchor: the first query point, tau = 1, holds it as 0.0
+ANCHOR = np.array([-0.0, 0.1, -0.2, 0.0, 0.05])
+INNER = {
+    "exp_md": lambda reg: ExpMd(ScheduleParams(5, 1.0), mode=reg, x1=ANCHOR),
+    "exp_ftrl": lambda reg: ExpFtrl(ScheduleParams(5, 1.0), mode=reg, x1=ANCHOR),
+    "adagrad": lambda reg: AdaGrad(5, mode=reg, x1=ANCHOR),
+    "adaftrl": lambda reg: AdaFtrl(5, mode=reg, x1=ANCHOR),
+}
+# each raises at the step boundary: a NaN, an infinity, a scaling a_{t+1} g that overflows,
+# a square that overflows inside the inner step, and a misshapen gradient
+BAD_STEPS = [
+    (np.full(5, np.nan), NumericRangeError),
+    (np.full(5, np.inf), NumericRangeError),
+    (np.full(5, 1e308), NumericRangeError),
+    (np.full(5, 1e200), NumericRangeError),
+    (np.zeros(4), ValueError),
+]
+
+
+def gradient(z, rng):
+    return z - 0.3 + 0.5 * rng.standard_normal(z.size)
+
+
+@pytest.mark.parametrize("name", list(INNER))
+def test_the_query_points_are_those_of_the_averaging_recursion(name):
+    # the recursion inline: round t queries z_t = tau x_t + (1 - tau) z_{t-1}, tau = a_t / a_{1:t},
+    # and feeds the inner learner a_t g, the hint a_{t+1} g and the weight a_{t+1}
+    reg = CompositeRegularizer(l1=0.2, l2=0.1)
+    learner, rng = INNER[name](reg), np.random.default_rng(8)
+    z, weight_sum, expected = np.zeros(5), 0.0, []
+    for t in range(1, 51):
+        a_t, a_next = float(t), float(t + 1)
+        weight_sum += a_t
+        tau = a_t / weight_sum
+        z = tau * learner.x + (1.0 - tau) * z
+        expected.append(z.tobytes())
+        g = gradient(z, rng)
+        learner.step(a_t * g, h_next=a_next * g, reg_weight=a_next)
+
+    acc, rng, got = Accelerator(INNER[name](reg)), np.random.default_rng(8), []
+    for t in range(1, 51):
+        got.append(acc.x.tobytes())
+        if t == 25:  # a step that raises leaves the accelerator and its inner learner as they were
+            for bad, error in BAD_STEPS:
+                before = acc.state, acc.learner.state, acc.x.tobytes(), acc.learner.x.tobytes()
+                with pytest.raises(error):
+                    acc.step(bad)
+                after = acc.state, acc.learner.state, acc.x.tobytes(), acc.learner.x.tobytes()
+                assert after[0] is before[0] and after[1] is before[1] and after[2:] == before[2:]
+        returned = acc.step(gradient(acc.x, rng))
+        assert returned is acc.x
+    assert got == expected
+    assert acc.learner.x.tobytes() == learner.x.tobytes()

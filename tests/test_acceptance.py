@@ -367,7 +367,8 @@ class TestAcceptance:
         acc = xo.Accelerator(learner)
         smooth_errs = []
         for _ in range(horizon):
-            z = acc.step(lambda v: v)
+            z = acc.x
+            acc.step(z)
             smooth_errs.append(0.5 * float(np.dot(z, z)))
         smooth_slope = np.polyfit(
             np.log(ts[window]), np.log(np.maximum(np.array(smooth_errs)[window], 1e-300)), 1
@@ -379,7 +380,8 @@ class TestAcceptance:
         acc = xo.Accelerator(learner)
         l1_errs = []
         for _ in range(horizon):
-            z = acc.step(lambda v: np.sign(v))
+            z = acc.x
+            acc.step(np.sign(z))
             l1_errs.append(float(np.sum(np.abs(z))))
         l1_slope = np.polyfit(np.log(ts[window]), np.log(np.array(l1_errs)[window]), 1)[0]
         elapsed = time.monotonic() - start

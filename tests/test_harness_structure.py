@@ -1,5 +1,6 @@
 """The harness names no learner class: it defines none, its round loop takes only the
 stacking functions from the learner modules, and no harness module imports a private name.
+One function plays every run: it alone steps a learner.
 
 Each family declares its own steps and how its runs stack, and the learner layer stacks and
 splits them, so a learner written inside the harness, or a round loop that picks learner
@@ -64,3 +65,14 @@ def test_no_harness_module_imports_a_private_name(name):
     private = [(module, imported) for module, imported in found if module.startswith("expopt")
                and (imported or module.rpartition(".")[2]).startswith("_")]
     assert private == []
+
+
+def test_one_function_steps_the_learners():
+    # a second caller of ``.step(`` would be a second play, with its own failure path
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    callers = [
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "step" for call in ast.walk(node))
+    ]
+    assert len(callers) == 1, callers

@@ -22,7 +22,14 @@ from expopt import (
     mirror_map_inv,
 )
 from expopt.accelerate import Accelerator
-from expopt.harness import ExperimentSpec, registry, run_experiment, streams
+from expopt.harness import (
+    ExperimentSpec,
+    TrialFailure,
+    experiments,
+    registry,
+    run_experiment,
+    streams,
+)
 from expopt.zeroth_order import rademacher_config, two_point_grad_rows
 
 # |g| = 1e200 is finite, but its square is not
@@ -471,10 +478,10 @@ def test_elastic_net_adagrad_raises_without_a_warning_when_its_scaled_target_ove
 def _accelerator_hint():
     # the gradient is finite, but the hint a_next * g = 2e308 is not
     acc = Accelerator(ExpMd(ScheduleParams(3, 1.0), mode=CompositeRegularizer(0.1, 0.1)))
-    acc.step(lambda z: np.ones(3))
+    acc.step(np.ones(3))
     return (
-        lambda: acc.step(lambda z: np.full(3, 1e308)),
-        lambda: (acc.state, acc.learner.state, acc.learner.x.tobytes()),
+        lambda: acc.step(np.full(3, 1e308)),
+        lambda: (acc.state, acc.learner.state, acc.x.tobytes(), acc.learner.x.tobytes()),
     )
 
 
@@ -532,17 +539,6 @@ def test_a_user_oracle_runs_outside_the_guard():
     assert noisy.tobytes() == clean.tobytes()
 
 
-def test_a_grad_fn_runs_outside_the_guard():
-    def run(grad_fn):
-        acc = Accelerator(ExpMd(ScheduleParams(3, 1.0), mode=CompositeRegularizer(0.1, 0.1)))
-        return [acc.step(grad_fn).tobytes() for _ in range(3)]
-
-    clean = run(lambda z: z - 0.5)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        noisy = run(lambda z: _overflowing_but_harmless(z - 0.5))
-    assert noisy == clean
-
-
 def test_a_callers_underflow_setting_does_not_reach_a_step():
     # the hint puts one log scale ~1e4 above the rest, so exp(L - max L)
     # underflows to 0 inside the projection: harmless, and not an error
@@ -580,23 +576,67 @@ def test_a_misshapen_gradient_from_the_oracle_is_not_a_trial_failure(monkeypatch
         run_experiment(spec)
 
 
-def test_a_numeric_error_in_a_blackbox_setup_ends_only_its_run(monkeypatch):
+class FaultyProblem:
+    """A black-box problem whose objective is NaN, or whose oracle fails, at its ``k``th call;
+    ``calls`` counts the calls of each."""
+
+    def __init__(self, problem, fault, k, calls):
+        self.problem, self.fault, self.k, self.calls = problem, fault, k, calls
+
+    def objective(self, z):
+        self.calls["objective"] += 1
+        if self.fault == "objective" and self.calls["objective"] == self.k:
+            return math.nan
+        return self.problem.objective(z)
+
+    def smooth(self, points):
+        self.calls["oracle"] += 1
+        if self.fault == "oracle" and self.calls["oracle"] == self.k:
+            raise np.linalg.LinAlgError("oracle failed")
+        return self.problem.smooth(points)
+
+
+@pytest.mark.parametrize("fault,error,calls", [
+    ("objective", "objective value is not finite (nan)", {"oracle": 5, "objective": 5, "step": 4}),
+    ("oracle", "oracle failed", {"oracle": 5, "objective": 4, "step": 4}),
+    ("step", "inner step failed", {"oracle": 5, "objective": 5, "step": 5}),
+])
+def test_a_blackbox_failure_at_a_round_ends_only_its_run(monkeypatch, fault, error, calls):
+    # the run fails at round 5: its rows stop at round 4, and it is not scored or stepped again
     spec = ExperimentSpec(kind="blackbox", dim=4, horizon=9, trials=2, sparsity=0.0,
                           algorithms=("acc_exp_md", "acc_adagrad"), seed=3)
     clean, _ = run_experiment(spec)
-    real, built = registry.accelerated_family, []
+    k, built, counted = 5, [], {"oracle": 0, "objective": 0, "step": 0}
+    real_family, real_objective = registry.accelerated_family, experiments._objective
 
-    def family(name, dim, reg):  # the first acc_adagrad built: trial 0 at batch 1
+    def family(name, dim, reg):  # the second run built: acc_adagrad@b1 of trial 0
+        learner, recipe = real_family(name, dim, reg)
         built.append(name)
-        if name == "acc_adagrad" and built.count(name) == 1:
-            raise NumericRangeError("no learner")
-        return real(name, dim, reg)
+        if len(built) == 2:
+            step = learner.step
+
+            def counted_step(*args, **kwargs):
+                counted["step"] += 1
+                if fault == "step" and counted["step"] == k:
+                    raise NumericRangeError("inner step failed")
+                return step(*args, **kwargs)
+
+            learner.step = counted_step
+        return learner, recipe
+
+    def objective(problem, cfg, rng):  # the score of the run just built
+        if len(built) == 2:
+            problem = FaultyProblem(problem, fault, k, counted)
+        return real_objective(problem, cfg, rng)
 
     monkeypatch.setattr(registry, "accelerated_family", family)
+    monkeypatch.setattr(experiments, "_objective", objective)
     records, failures = run_experiment(spec)
-    assert [(f.algorithm, f.trial, f.round, f.error) for f in failures] == [
-        ("acc_adagrad@b1", 0, 1, "no learner")
-    ]
+    assert built[1] == "acc_adagrad" and len(built) == 8
+    assert failures == [TrialFailure("acc_adagrad@b1", 0, k, error)]
+    assert counted == calls
+    target = [r.round for r in records if (r.algorithm, r.trial) == ("acc_adagrad@b1", 0)]
+    assert target == list(range(1, k))
     assert [repr(r) for r in records] == [
-        repr(r) for r in clean if (r.algorithm, r.trial) != ("acc_adagrad@b1", 0)
+        repr(r) for r in clean if (r.algorithm, r.trial) != ("acc_adagrad@b1", 0) or r.round < k
     ]
