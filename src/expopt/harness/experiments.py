@@ -9,8 +9,12 @@ spec advance together, a block of rounds at a time, through one round loop;
 the trials share ``streams.BLOCK_BYTES`` of features.  The harness groups the
 runs by :func:`~expopt.learners.stack_key` and plays each group with one play;
 the learner layer stacks and splits a group's runs, each row bit for bit as
-alone.  A blackbox trial is one block, and each of its runs steps alone.  A
-side-effecting oracle sees the runs interleaved.
+alone.  A stack whose loss has a stacked form (``multitask_loss_grad.rows``)
+is scored by one call of it a round, each row's regret kept as alone; every
+other run, and a row whose stacked call raised, is scored by its own call.
+A blackbox trial is one block, and each of its runs steps alone.  A
+side-effecting oracle sees the runs interleaved by block and a stack's rows
+by round, a multitask stack's rows all in one call.
 Runs keep floats; :func:`run_experiment` makes rows, sorted by (algorithm, trial,
 round), floats written in their shortest round-trip form, so equal configurations
 give byte-identical CSV files.  A numeric error of an oracle, step or objective,
@@ -157,18 +161,23 @@ def _detached(exc):
 
 def _regret(oracle):
     """A run's score: its cumulative regret and the loss gradient at each round
-    ``(x, y, comparator loss)``."""
+    ``(x, y, comparator loss)``.  ``score.rows`` is the oracle's stacked form, or ``None``, and
+    ``score.add(loss, comparator loss)`` adds a round's loss that a stacked call scored."""
     cum = 0.0
 
-    def score(w, round_):
+    def add(loss, comp_loss):
         nonlocal cum
-        x, y, comp_loss = round_
-        loss, grad = oracle(w, x, y)
         cum += loss - comp_loss
         if not math.isfinite(cum):
             raise NumericRangeError(f"cumulative regret is not finite ({cum})")
-        return cum, grad
+        return cum
 
+    def score(w, round_):
+        x, y, comp_loss = round_
+        loss, grad = oracle(w, x, y)
+        return add(loss, comp_loss), grad
+
+    score.add, score.rows = add, getattr(oracle, "rows", None)
     return score
 
 
@@ -191,34 +200,61 @@ def _play(learners, scores, *rounds):
     """Each run's value per round, or the numeric error (score or step) that ends it: a run's
     ``score(x, round)`` gives its value and gradient at its decision ``x``, and then it steps.
     Two or more learners step as one :func:`~expopt.learners.stack`; at a round where that
-    fails, each row is replayed through its learner's own ``step``, as the row alone."""
+    fails, each row is replayed through its learner's own ``step``, as the row alone.  A stack
+    whose oracle has a stacked form ``score.rows`` is scored by one call of it a round, each
+    row's value through its ``score.add``; at a round where that call fails, each row is scored
+    alone, through its own score."""
     live = list(range(len(learners)))
     stacked = stack(learners) if len(learners) > 1 else None
+    # the runs of a group share their spec's oracle
+    rows = getattr(scores[0], "rows", None) if stacked is not None else None
 
-    def score(j, i):  # run i's value and gradient, or its error and None; row j of a stack
-        round_ = next(rounds[i])
-        # the decision lives in this call only: held across a yield, it would outlive its
-        # round while the other groups play
-        try:
-            return scores[i](learners[i].x if stacked is None else stacked.x[j], round_)
-        except _NUMERIC_ERRORS as exc:
-            return _detached(exc), None
-
-    while live:
+    # each run's value and gradient, or its error and None (row j of a stack), on its next
+    # round or on the rounds already ``played``
+    def each(played=None):
         values, grads = [], []
         for j, i in enumerate(live):
-            value, grad = score(j, i)
+            # the decision lives in this call only: held across a yield, it would outlive its
+            # round while the other groups play
+            x = learners[i].x if stacked is None else stacked.x[j]
+            try:
+                value, grad = scores[i](x, next(rounds[i]) if played is None else played[j])
+            except _NUMERIC_ERRORS as exc:
+                value, grad = _detached(exc), None
             values.append(value)
             grads.append(grad)
+        return values, grads
+
+    def together():  # the stack's rows in one oracle call; where it fails, each row alone
+        played = [next(rounds[i]) for i in live]
+        features, labels, comp_losses = zip(*played)
+        try:
+            losses, grads = rows(stacked.x, np.array(features), np.array(labels))
+        except _NUMERIC_ERRORS:
+            return each(played)
+        values = []
+        for i, loss, comp_loss in zip(live, losses.tolist(), comp_losses):
+            try:
+                values.append(scores[i].add(loss, comp_loss))
+            except NumericRangeError as exc:
+                values.append(_detached(exc))
+        if any(isinstance(value, Exception) for value in values):  # an ended row has no gradient
+            grads = [None if isinstance(v, Exception) else g for v, g in zip(values, grads)]
+        return values, grads
+
+    scored = each if rows is None else together
+    while live:
+        values, grads = scored()
         stepped = stacked is not None and all(grad is not None for grad in grads)
         if stepped:
             try:
-                stacked.step(np.array(grads))
+                stacked.step(np.asarray(grads))
             except _NUMERIC_ERRORS:
                 stepped = False
         if not stepped:  # each row alone, through its learner; the rows that step play on
             kept = []
-            for j, (i, grad) in enumerate(zip(live, grads)):
+            for j, i in enumerate(live):
+                grad = grads[j]
                 if stacked is not None:
                     learners[i].state = row_of(stacked.state, j)
                 try:

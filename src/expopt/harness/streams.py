@@ -6,6 +6,12 @@ Three problem families, all deterministic given a numpy Generator:
 * online multitask logistic regression with a low-rank parameter matrix,
 * a black-box composite: a hinge over convex quadratics plus elastic net,
   standing in for expensive model-specific losses.
+
+The multitask loss also has a stacked form, ``multitask_loss_grad.rows``,
+which scores the rounds of a stack of runs in one call, each row bit for
+bit the lone call.  The logistic loss has none: at 2-4 rows, the stacks of
+the two-trial logistic benchmark workloads, a stacked tail costs more than
+the lone calls it replaces.
 """
 
 import copy
@@ -216,10 +222,26 @@ def gen_multitask_stream(
 
 
 def multitask_loss_grad(w, features_t, labels_t):
-    """Sum of the per-task logistic losses at round t, and its gradient."""
+    """Sum of the per-task logistic losses at round t, and its gradient.
+
+    ``multitask_loss_grad.rows`` is its stacked form: ``(rows, d, k)`` decisions, ``(rows, k,
+    d)`` features and ``(rows, k)`` labels give ``(rows,)`` losses and ``(rows, d, k)``
+    gradients, each row bit for bit this function's on it, from one call.
+    """
     m = labels_t * np.einsum("kd,dk->k", features_t, w)
     loss = float(np.sum(np.logaddexp(0.0, -m)))
     return loss, features_t.T * (-labels_t * _sigmoid(-m))
+
+
+def _multitask_loss_grad_rows(w, features, labels):
+    # each row's own einsum over d; ``np.add.reduce`` sums each row's tasks as ``np.sum`` sums
+    # one round's
+    m = labels * np.einsum("rkd,rdk->rk", features, w)
+    losses = np.add.reduce(np.logaddexp(0.0, -m), axis=1)
+    return losses, features.transpose(0, 2, 1) * (-labels * _sigmoid(-m))[:, None, :]
+
+
+multitask_loss_grad.rows = _multitask_loss_grad_rows
 
 
 def multitask_loss(w, features_t, labels_t) -> float:

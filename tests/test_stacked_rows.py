@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from expopt import AdaFtrl, AdaGrad, BallConstraint, DiagProxState, ExpFtrl, ExpMd
 from expopt import NumericRangeError, ScheduleParams, SpectralExpFtrl, SpectralExpMd
@@ -627,3 +629,130 @@ def test_a_subclass_with_its_own_step_stacks_apart_from_its_base(monkeypatch, na
     # each round: the subclass's run alone, through its own step, and the other two as one stack
     assert own == [(spec.dim,)] * spec.horizon
     assert collections.Counter(steps) == {(spec.dim,): spec.horizon, (2, spec.dim): spec.horizon}
+
+
+def counted_oracle(monkeypatch, name):
+    """Patch ``streams.<name>`` with a spy that keeps its stacked form, if it has one; returns
+    the calls, ``"lone"`` for a lone call and a stacked call's row count for a stacked one."""
+    lone, rows, calls = getattr(streams, name), getattr(getattr(streams, name), "rows", None), []
+
+    def lone_spy(w, f, y):
+        calls.append("lone")
+        return lone(w, f, y)
+
+    def rows_spy(w, f, y):
+        calls.append(len(w))
+        return rows(w, f, y)
+
+    if rows is not None:
+        lone_spy.rows = rows_spy
+    monkeypatch.setattr(streams, name, lone_spy)
+    return calls
+
+
+# three trials of 6x3: one 6-row diagonal stack and a 3-row stack for each spectral learner
+MULTITASK = ExperimentSpec(kind="multitask", dim=6, tasks=3, rank=2, horizon=40, trials=3,
+                           algorithms=("adagrad", "adaftrl", "spectral_exp_md",
+                                       "spectral_exp_ftrl"), sparsity=0.0, seed=11)
+
+
+def test_a_multitask_stack_is_scored_by_one_oracle_call_a_round(monkeypatch):
+    expected = run_experiment(MULTITASK)
+    calls = counted_oracle(monkeypatch, "multitask_loss_grad")
+    assert run_experiment(MULTITASK) == expected
+    assert collections.Counter(calls) == {6: MULTITASK.horizon, 3: 2 * MULTITASK.horizon}
+    # one trial: each run alone, one lone call a round
+    calls.clear()
+    run_experiment(dataclasses.replace(MULTITASK, trials=1, algorithms=("adagrad",
+                                                                        "spectral_exp_md")))
+    assert calls == ["lone"] * 2 * MULTITASK.horizon
+
+
+def test_logistic_runs_are_scored_one_lone_call_a_run_and_round(monkeypatch):
+    spec = ExperimentSpec(kind="logistic", dim=20, horizon=30, trials=3, seed=11,
+                          algorithms=("exp_md", "exp_ftrl", "adagrad", "adaftrl", "eg_pm"))
+    calls = counted_oracle(monkeypatch, "logistic_loss_grad")
+    run_experiment(spec)
+    assert calls == ["lone"] * 5 * spec.trials * spec.horizon
+
+
+FAULTS = {
+    "gradient": "gradient g or hint h_next is not finite",
+    "loss": "cumulative regret is not finite (inf)",
+    "raise": None,  # the oracle's own message, for every run of the trial
+}
+
+
+def injected(fault, features, error):
+    """A lone oracle and a stacked one that inject ``fault`` at the round whose features are
+    ``features``: into the first row that round is scored for (a NaN gradient entry or an
+    infinite loss), or as an ``error`` raised by every call that scores it."""
+    lone, rows, hits = multitask_loss_grad, multitask_loss_grad.rows, itertools.count()
+
+    def faulty(w, f, y):
+        if fault == "raise" and np.array_equal(f, features):
+            raise error
+        loss, grad = lone(w, f, y)
+        if np.array_equal(f, features) and next(hits) == 0:
+            if fault == "gradient":
+                grad[0, 0] = np.nan
+            else:
+                loss = math.inf
+        return loss, grad
+
+    def faulty_rows(w, f, y):
+        hit = [j for j in range(len(f)) if np.array_equal(f[j], features)]
+        if fault == "raise" and hit:
+            raise error
+        losses, grads = rows(w, f, y)
+        if hit and next(hits) == 0:
+            if fault == "gradient":
+                grads[hit[0], 0, 0] = np.nan
+            else:
+                losses[hit[0]] = math.inf
+        return losses, grads
+
+    return faulty, faulty_rows
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@settings(derandomize=True, max_examples=6, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(trial=st.integers(0, MULTITASK.trials - 1), k=st.integers(1, MULTITASK.horizon),
+       error=st.sampled_from([NumericRangeError, np.linalg.LinAlgError, FloatingPointError]))
+def test_a_fault_in_a_stacked_oracle_call_ends_the_runs_the_lone_oracle_ends(
+    fault, trial, k, error
+):
+    # the first run to score a round is trial's adagrad row of the diagonal stack
+    clean, no_failures = run_experiment(MULTITASK)
+    assert not no_failures
+    seed = np.random.SeedSequence(MULTITASK.seed).spawn(MULTITASK.trials)[trial]
+    features = gen_multitask_stream(6, 3, 2, MULTITASK.horizon,
+                                    np.random.default_rng(seed)).features[k - 1]
+    message = FAULTS[fault] or f"oracle failed at round {k}"
+    with pytest.MonkeyPatch.context() as patch:  # each row alone, through the lone oracle
+        patch.setattr(streams, "multitask_loss_grad",
+                      injected(fault, features, error(message))[0])
+        per_row = run_experiment(MULTITASK)
+    lone, stacked = injected(fault, features, error(message))
+    lone.rows = stacked
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "multitask_loss_grad", lone)
+        calls = counted_oracle(patch, "multitask_loss_grad")
+        records, failures = run_experiment(MULTITASK)
+    ended = ["adagrad"] if fault != "raise" else sorted(MULTITASK.algorithms)
+    assert failures == per_row[1] == [TrialFailure(name, trial, k, message) for name in ended]
+    assert [repr(r) for r in records] == [repr(r) for r in per_row[0]]
+    # one stacked call a stack and round; one that raises is replayed row by row, alone
+    runs = len(MULTITASK.algorithms) * MULTITASK.trials
+    assert calls.count("lone") == (runs if fault == "raise" else 0)
+    assert len(calls) - calls.count("lone") == 3 * MULTITASK.horizon
+
+    def run(recs, name, t):
+        return [repr(r) for r in recs if (r.algorithm, r.trial) == (name, t)]
+
+    for name, t in itertools.product(MULTITASK.algorithms, range(MULTITASK.trials)):
+        if t == trial and name in ended:
+            assert run(records, name, t) == run(clean, name, t)[: k - 1]
+        else:
+            assert run(records, name, t) == run(clean, name, t)
