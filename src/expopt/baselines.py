@@ -233,8 +233,10 @@ def _diag_step(state: DiagProxState, g, mode, h_next, reg_weight: float, leader)
     elif isinstance(mode, CompositeRegularizer) and not matrices:
         weight = np.where(leader, reg_rounds, reg_weight) if stacked else (
             reg_rounds if leader else reg_weight)
+        # numpy products, alone too: an overflowing scaled weight trips the guard
+        l1, l2 = np.multiply(mode.l1, weight), np.multiply(mode.l2, weight)
         q = target * h_sqrt
-        x = np.sign(q) * np.maximum(np.abs(q) - mode.l1 * weight, 0.0) / (h_sqrt + mode.l2 * weight)
+        x = np.sign(q) * np.maximum(np.abs(q) - l1, 0.0) / (h_sqrt + l2)
     elif mode is None:
         x = target
     else:
@@ -328,9 +330,9 @@ def eg_pm_step(state: EgPmState, g, radius: float, stepsize: float | None = None
     return new_state, x
 
 
-def _diagonal_rows(learners, balls):  # one leader flag per row, broadcast over its decision
+def _diagonal_rows(learners, mode):  # one leader flag per row, broadcast over its decision
     leader = np.reshape([lrn.leader for lrn in learners], (-1,) + (1,) * learners[0].x.ndim)
-    return lambda s, g, h, w: _diag_step(s, g, balls, h, w, leader)
+    return lambda s, g, h, w: _diag_step(s, g, mode, h, w, leader)
 
 
 class _Diagonal(Learner):

@@ -10,11 +10,14 @@ the trials share ``streams.BLOCK_BYTES`` of features.  The harness groups the
 runs by :func:`~expopt.learners.stack_key` and plays each group with one play;
 the learner layer stacks and splits a group's runs, each row bit for bit as
 alone.  A stack whose loss has a stacked form (``multitask_loss_grad.rows``)
-is scored by one call of it a round, each row's regret kept as alone; every
-other run, and a row whose stacked call raised, is scored by its own call.
-A blackbox trial is one block, and each of its runs steps alone.  A
+is scored by one call of it a round, each row's regret kept as alone; a
+stack of black-box runs by one call a round of each trial's smooth part, on
+the estimator points of all that trial's rows, whose objective reuses the
+value at its query point; every other run, and a row whose stacked call
+raised, is scored by its own call.  A blackbox trial is one block.  A
 side-effecting oracle sees the runs interleaved by block and a stack's rows
-by round, a multitask stack's rows all in one call.
+by round, a multitask stack's rows all in one call and a black-box stack's
+rows of one trial all in one call, with no separate objective point.
 Runs keep floats; :func:`run_experiment` makes rows, sorted by (algorithm, trial,
 round), floats written in their shortest round-trip form, so equal configurations
 give byte-identical CSV files.  A numeric error of an oracle, step or objective,
@@ -22,6 +25,7 @@ or a non-finite loss, regret or objective, ends only its own run, stacked or
 alone, with a :class:`TrialFailure` at the round, no row.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -33,7 +37,7 @@ import numpy as np
 from ..accelerate import Accelerator
 from ..entropy import NumericRangeError
 from ..learners import row_of, stack, stack_key
-from ..zeroth_order import default_smoothing, two_point_grad_rows
+from ..zeroth_order import default_smoothing, two_point_draw, two_point_finish
 from . import registry, streams
 
 __all__ = [
@@ -159,9 +163,24 @@ def _detached(exc):
     return exc.with_traceback(None)
 
 
+def _each(scores, xs, played):
+    """Each run's value and gradient at its decision ``xs[j]`` and round ``played[j]``, through
+    its own score, or the numeric error that ends it and ``None``."""
+    values, grads = [], []
+    for score, x, round_ in zip(scores, xs, played):
+        try:
+            value, grad = score(x, round_)
+        except _NUMERIC_ERRORS as exc:
+            value, grad = _detached(exc), None
+        values.append(value)
+        grads.append(grad)
+    return values, grads
+
+
 def _regret(oracle):
     """A run's score: its cumulative regret and the loss gradient at each round
-    ``(x, y, comparator loss)``.  ``score.rows`` is the oracle's stacked form, or ``None``, and
+    ``(x, y, comparator loss)``.  Where the oracle has a stacked form ``oracle.rows``,
+    ``score.rows`` scores a stack of such runs with one call of it (:func:`_regret_rows`), and
     ``score.add(loss, comparator loss)`` adds a round's loss that a stacked call scored."""
     cum = 0.0
 
@@ -177,23 +196,94 @@ def _regret(oracle):
         loss, grad = oracle(w, x, y)
         return add(loss, comp_loss), grad
 
-    score.add, score.rows = add, getattr(oracle, "rows", None)
+    rows = getattr(oracle, "rows", None)
+    score.add = add
+    score.rows = None if rows is None else functools.partial(_regret_rows, rows)
     return score
+
+
+def _regret_rows(rows, scores, xs, played):
+    """The values and gradients of a stack's regret runs from one call of the stacked oracle
+    ``rows``, each row's loss added to its own regret; where that call fails, each row alone,
+    through its own score."""
+    features, labels, comp_losses = zip(*played)
+    try:
+        losses, grads = rows(xs, np.array(features), np.array(labels))
+    except _NUMERIC_ERRORS:
+        return _each(scores, xs, played)
+    values = []
+    for score, loss, comp_loss in zip(scores, losses.tolist(), comp_losses):
+        try:
+            values.append(score.add(loss, comp_loss))
+        except NumericRangeError as exc:
+            values.append(_detached(exc))
+    if any(isinstance(value, Exception) for value in values):  # an ended row has no gradient
+        grads = [None if isinstance(v, Exception) else g for v, g in zip(values, grads)]
+    return values, grads
 
 
 def _objective(problem, cfg, rng):
     """A black-box run's score: the objective at the query point and the two-point gradient
     of its smooth part, estimated first: the oracle sees a round's estimator points before its
-    objective point."""
+    objective point.  Where the problem's objective is its smooth part plus the elastic net
+    (``objective.from_smooth``), ``score.rows`` scores a stack of such runs
+    (:func:`_objective_rows`): ``score.draw(z)`` draws a round's points and
+    ``score.finish(z, dirs, values)`` scores it from their values, row 0 being ``smooth(z)``."""
+    from_smooth = getattr(problem.objective, "from_smooth", None)
 
-    def score(z, _):
-        grad = two_point_grad_rows(problem.smooth, z, cfg, rng)
-        value = problem.objective(z)
+    def finite(value):
         if not math.isfinite(value):
             raise NumericRangeError(f"objective value is not finite ({value})")
-        return value, grad
+        return value
 
+    def score(z, _, drawn=None):  # ``drawn``: the round's points and directions, if drawn
+        points, dirs = two_point_draw(z, cfg, rng) if drawn is None else drawn
+        grad = two_point_finish(problem.smooth(points), dirs, cfg)
+        return finite(problem.objective(z)), grad
+
+    def finish(z, dirs, values):
+        grad = two_point_finish(values, dirs, cfg)
+        return finite(from_smooth(problem, z, float(values[0]))), grad
+
+    score.problem, score.finish = problem, finish
+    score.draw = lambda z: two_point_draw(z, cfg, rng)
+    score.rows = None if from_smooth is None else _objective_rows
     return score
+
+
+def _objective_rows(scores, zs, _):
+    """The values and gradients of a stack's black-box runs.  Each row draws its round's points
+    from its own generator, and each problem's smooth part is called once, on the points of all
+    its rows in row order; each row finishes its estimate and objective from its own values.
+    A row whose draw fails ends; where a call fails, each of its rows is scored alone, through
+    its own score, from the points it drew."""
+    values, grads, drawn = [None] * len(scores), [None] * len(scores), [None] * len(scores)
+    problems = {}  # each problem's rows that drew their points, in row order
+    for j, (score, z) in enumerate(zip(scores, zs)):
+        try:
+            drawn[j] = score.draw(z)
+        except _NUMERIC_ERRORS as exc:
+            values[j] = _detached(exc)
+        else:
+            problems.setdefault(id(score.problem), []).append(j)
+    for rows in problems.values():
+        points = [drawn[j][0] for j in rows]
+        try:
+            smooth = np.asarray(scores[rows[0]].problem.smooth(np.concatenate(points)), float)
+        except _NUMERIC_ERRORS:
+            smooth = None
+        start = 0
+        for j, n in zip(rows, map(len, points)):
+            try:
+                if smooth is None:
+                    values[j], grads[j] = scores[j](zs[j], None, drawn[j])
+                else:
+                    values[j], grads[j] = scores[j].finish(zs[j], drawn[j][1],
+                                                           smooth[start : start + n])
+            except _NUMERIC_ERRORS as exc:
+                values[j] = _detached(exc)
+            start += n
+    return values, grads
 
 
 def _play(learners, scores, *rounds):
@@ -201,50 +291,21 @@ def _play(learners, scores, *rounds):
     ``score(x, round)`` gives its value and gradient at its decision ``x``, and then it steps.
     Two or more learners step as one :func:`~expopt.learners.stack`; at a round where that
     fails, each row is replayed through its learner's own ``step``, as the row alone.  A stack
-    whose oracle has a stacked form ``score.rows`` is scored by one call of it a round, each
-    row's value through its ``score.add``; at a round where that call fails, each row is scored
-    alone, through its own score."""
+    whose scores all have a stacked form ``score.rows`` is scored by it, each row as alone
+    (:func:`_regret_rows`, :func:`_objective_rows`); every other run through its own score."""
     live = list(range(len(learners)))
     stacked = stack(learners) if len(learners) > 1 else None
-    # the runs of a group share their spec's oracle
-    rows = getattr(scores[0], "rows", None) if stacked is not None else None
+    # the runs of a group share their spec's scoring
+    together = stacked is not None and all(getattr(s, "rows", None) for s in scores)
+    scoring = scores[0].rows if together else _each
+    live_scores, live_rounds = list(scores), list(rounds)  # rebuilt only when a run ends
 
-    # each run's value and gradient, or its error and None (row j of a stack), on its next
-    # round or on the rounds already ``played``
-    def each(played=None):
-        values, grads = [], []
-        for j, i in enumerate(live):
-            # the decision lives in this call only: held across a yield, it would outlive its
-            # round while the other groups play
-            x = learners[i].x if stacked is None else stacked.x[j]
-            try:
-                value, grad = scores[i](x, next(rounds[i]) if played is None else played[j])
-            except _NUMERIC_ERRORS as exc:
-                value, grad = _detached(exc), None
-            values.append(value)
-            grads.append(grad)
-        return values, grads
-
-    def together():  # the stack's rows in one oracle call; where it fails, each row alone
-        played = [next(rounds[i]) for i in live]
-        features, labels, comp_losses = zip(*played)
-        try:
-            losses, grads = rows(stacked.x, np.array(features), np.array(labels))
-        except _NUMERIC_ERRORS:
-            return each(played)
-        values = []
-        for i, loss, comp_loss in zip(live, losses.tolist(), comp_losses):
-            try:
-                values.append(scores[i].add(loss, comp_loss))
-            except NumericRangeError as exc:
-                values.append(_detached(exc))
-        if any(isinstance(value, Exception) for value in values):  # an ended row has no gradient
-            grads = [None if isinstance(v, Exception) else g for v, g in zip(values, grads)]
-        return values, grads
-
-    scored = each if rows is None else together
     while live:
-        values, grads = scored()
+        # the live runs' values and gradients on their next round; the decisions are bound to
+        # no name: held across a yield, they would outlive their round while the other groups
+        # play (a group of one has one run, a stack keeps its own)
+        values, grads = scoring(live_scores, [learners[0].x] if stacked is None else stacked.x,
+                                list(map(next, live_rounds)))
         stepped = stacked is not None and all(grad is not None for grad in grads)
         if stepped:
             try:
@@ -263,6 +324,8 @@ def _play(learners, scores, *rounds):
                         kept.append(i)
                 except _NUMERIC_ERRORS as exc:
                     values[j] = _detached(exc)
+            if len(kept) < len(live):  # a run ended
+                live_scores, live_rounds = [scores[i] for i in kept], [rounds[i] for i in kept]
             live = kept
             if stacked is not None and live:
                 stacked = stack([learners[i] for i in live])

@@ -11,7 +11,10 @@ The multitask loss also has a stacked form, ``multitask_loss_grad.rows``,
 which scores the rounds of a stack of runs in one call, each row bit for
 bit the lone call.  The logistic loss has none: at 2-4 rows, the stacks of
 the two-trial logistic benchmark workloads, a stacked tail costs more than
-the lone calls it replaces.
+the lone calls it replaces.  The black-box smooth part takes any stack of
+points, so one call scores the estimator points of a whole stack of runs on
+one problem, each value the bits of its point alone; its objective has a
+form from a smooth value already held, ``objective.from_smooth``.
 """
 
 import copy
@@ -249,6 +252,13 @@ def multitask_loss(w, features_t, labels_t) -> float:
     return multitask_loss_grad(w, features_t, labels_t)[0]
 
 
+def _from_smooth(problem, x, value) -> float:
+    """The objective of ``problem`` at one point ``x`` whose smooth part is ``value``."""
+    x = np.asarray(x, dtype=float)
+    return value + problem.reg.l1 * float(np.sum(np.abs(x))) + 0.5 * problem.reg.l2 * float(
+        np.dot(x, x))
+
+
 @dataclass(frozen=True)
 class BlackboxComposite:
     """Hinge over convex quadratics plus an elastic-net term.
@@ -288,12 +298,12 @@ class BlackboxComposite:
         return float(values) if x.ndim == 1 else values
 
     def objective(self, x) -> float:
+        """``smooth(x)`` plus the elastic net at ``x``.  ``objective.from_smooth(problem, x,
+        value)`` is the same from ``value = smooth(x)``, for a caller that holds that value."""
         x = np.asarray(x, dtype=float)
-        return (
-            self.smooth(x)
-            + self.reg.l1 * float(np.sum(np.abs(x)))
-            + 0.5 * self.reg.l2 * float(np.dot(x, x))
-        )
+        return _from_smooth(self, x, self.smooth(x))
+
+    objective.from_smooth = _from_smooth
 
 
 def gen_blackbox_problem(dim: int, rng: np.random.Generator) -> BlackboxComposite:

@@ -74,7 +74,7 @@ def lambert_w0(z: float) -> LambertResult:
     return LambertResult(float(w), float(residual), its)
 
 
-def _w0_log_array(s):
+def _w0_log_array(s, ignore=None):
     """Vectorized solve of ``w + ln w = s``; returns ``w = exp(v)``.
 
     Newton iteration on ``h(v) = exp(v) + v - s`` in ``v = ln w``; ``h`` is
@@ -88,22 +88,55 @@ def _w0_log_array(s):
     alternate between two neighbouring floats.  Once every entry equals its
     iterate two steps back, the test can never pass, so the loop returns what
     the last of its ``_MAX_ITER`` iterations would hold, with that count.
+
+    A stack ``(rows, k)`` solves each row as that row alone: a row leaves the
+    loop at the iteration, and with the value, at which it leaves it alone, and
+    its entries where ``ignore`` is set take no part in its stop.  Any other
+    ``s`` is one row.  The count is then the most any row ran.
     """
     s = np.asarray(s, dtype=float)
     v = prev = np.where(s > 1.0, np.log(np.maximum(s, 1.0)), s)
-    its = 0
+    out = left = None  # once rows of a stack have left the loop: each row's v, the rows still in it
+    its = most = 0
     for its in range(1, _MAX_ITER + 1):
         ev = np.exp(v)
         step = (ev + v - s) / (ev + 1.0)
         before, prev, v = prev, v, v - step
-        if (abs(step) <= 1e-16 * (2.0 + abs(v))).all():
+        ok = abs(step) <= 1e-16 * (2.0 + abs(v))
+        if ignore is not None:
+            ok |= ignore
+        if ok.all():  # every row still in the loop stops here
             break
-        if its >= _CYCLE_FROM and (v == before).all():
-            # the iterates repeat with period two: the capped loop ends on v or prev by parity
-            if (_MAX_ITER - its) % 2:
-                v = prev
-            return np.exp(v), _MAX_ITER
-    return np.exp(v), its
+        if s.ndim < 2:  # one row, kept in its shape: a 0-d one runs on numpy scalars
+            if its >= _CYCLE_FROM and (v == before).all():
+                # the iterates repeat with period two: the capped loop ends on v or prev by parity
+                return np.exp(prev if (_MAX_ITER - its) % 2 else v), _MAX_ITER
+            continue
+        done = ok.all(axis=1)
+        if its >= _CYCLE_FROM:
+            same = v == before
+            if ignore is not None:
+                same |= ignore
+            cycling = same.all(axis=1) & ~done
+            if cycling.any():  # each such row ends as the lone loop does, by parity
+                if (_MAX_ITER - its) % 2:
+                    v[cycling] = prev[cycling]
+                done |= cycling
+                most = _MAX_ITER
+        if done.any():  # these rows leave the loop, with the value they leave it with alone
+            if out is None:
+                out, left = np.empty_like(s), np.arange(len(s))
+            out[left[done]] = v[done]
+            most = max(most, its)
+            if done.all():
+                return np.exp(out), most
+            kept = ~done
+            left, v, prev, s = left[kept], v[kept], prev[kept], s[kept]
+            ignore = None if ignore is None else ignore[kept]
+    if out is not None:
+        out[left] = v
+        v = out
+    return np.exp(v), max(most, its)
 
 
 def lambert_w0_from_log(s: float) -> LambertResult:

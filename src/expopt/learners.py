@@ -17,9 +17,9 @@ One mirror-descent body and one leader-following body serve vectors and
 matrices alike: the schedule names its :data:`Geometry` (:data:`VECTORS`
 here, ``MATRICES`` for a :class:`~expopt.spectral.SpectralSchedule`).  The
 same bodies step a stack of runs that share a geometry, ``beta`` and
-``epsilon0``, in the free space or on balls, with a leading row axis on every
-array and one ``eta``, ``sum_sq`` and ``alpha`` per row; each row keeps the
-bits it has stepped alone.  :class:`Learner` is the base of every stateful
+``epsilon0``, in the free space, on balls or on one regularizer, with a leading
+row axis on every array and one ``eta``, ``sum_sq`` and ``alpha`` per row; each
+row keeps the bits it has stepped alone.  :class:`Learner` is the base of every stateful
 learner; :class:`ExpMd`, :class:`ExpFtrl` and their spectral twins share one
 constructor and declare only their init and ``_step``, which finds the step in
 its module when called.  A family declares how its runs stack in one ``_Stacking``;
@@ -143,8 +143,9 @@ def _fill_schedule(sched, *names) -> None:
 # ``(rows, 1)``, and the ``geometry``, ``beta`` and ``epsilon0`` the rows share.
 _RowSchedule = namedtuple("_RowSchedule", "geometry eta beta epsilon0")
 
-# How a family's runs stack: ``key(learner)``, what they share besides the family, state type
-# and shape (``None``: step alone), and ``advance(learners, balls)``, their stack's step rule.
+# How a family's runs stack: ``key(learner)``, what they share besides the family, state type,
+# shape and regularizer (``None``: step alone), and ``advance(learners, mode)``, their stack's
+# step rule on ``mode``, the rows' shared regularizer or their balls, one radius per row.
 _Stacking = namedtuple("_Stacking", "key advance")
 
 # The entropy parameters of stacked runs, one ``alpha`` per row ``(rows, 1)``, each
@@ -193,9 +194,9 @@ def resolve_dual_point(z, p: EntropyParams, mode: FeasibleMode, reg_weight: floa
     Free mode is the inverse mirror map, :func:`~expopt.entropy.mirror_map_inv`
     (raising :class:`NumericRangeError` past the exponent range or on a NaN).
     Ball and regularized modes stay in the log domain throughout; the ball
-    projection passes a point that is already inside through.  In free and
-    ball mode a stack of dual points ``(rows, k)`` resolves with one ``p.alpha``
-    per row, ``(rows, 1)``, each row as alone.
+    projection passes a point that is already inside through.  In every mode a
+    stack of dual points ``(rows, k)`` resolves with one ``p.alpha`` per row,
+    ``(rows, 1)``, each row as alone.
     """
     if mode is None:
         return mirror_map_inv(z, p)
@@ -307,8 +308,8 @@ def omd_step(
     stochastic-acceleration wrapper).
 
     A stacked state steps each row bit for bit as alone, on a :class:`_RowSchedule`
-    and in the free space or on balls of one radius per row; ``g`` and ``h_next`` then
-    have the rows' leading axis.
+    and in the free space, on balls of one radius per row or on one regularizer; ``g``
+    and ``h_next`` then have the rows' leading axis.
     """
     geo = sched.geometry
     g, h_next = _inputs(state.h_prev.shape, g, h_next, reg_weight)
@@ -402,15 +403,23 @@ class Learner:
 
 def stack_key(learner):
     """What runs must share to step as the rows of one :func:`stack`, or ``None`` for a run
-    that steps alone: their family's ``_stacking``, state type, decision shape and the family's
-    key.  A run stacks only unpatched, on a ball, of a class that declares its own ``_step`` or
-    ``_stacking``, and with a key: a subclass steps alone, through its own ``step``."""
+    that steps alone: their family's ``_stacking``, state type, decision shape, regularizer
+    and the family's key.  A run stacks only unpatched, on a ball or a
+    :class:`~expopt.prox.CompositeRegularizer` (which the rows then share), of a class that
+    declares its own ``_step`` or ``_stacking``, and with a key: a subclass steps alone,
+    through its own ``step``."""
     kind = type(learner)
     declared = "step" not in vars(learner) and vars(kind).keys() & {"_step", "_stacking"}
     family = getattr(kind, "_stacking", None) if declared else None
-    on_ball = isinstance(getattr(learner, "mode", None), BallConstraint)
-    key = family.key(learner) if family and on_ball else None
-    return None if key is None else (family, type(learner.state), np.shape(learner.x), key)
+    mode = getattr(learner, "mode", None)
+    shared = mode if isinstance(mode, CompositeRegularizer) else None
+    key = family.key(learner) if family and (shared or isinstance(mode, BallConstraint)) else None
+    return None if key is None else (family, type(learner.state), np.shape(learner.x), shared,
+                                     key)
+
+
+# the state fields that follow from the round, which the rows of a :func:`stack` share
+_SHARED = ("round", "reg_rounds", "weight_sum")
 
 
 def _fieldwise(values, leaf):
@@ -421,7 +430,7 @@ def _fieldwise(values, leaf):
         return None
     if is_dataclass(first):
         return replace(first, **{f.name: _fieldwise([getattr(v, f.name) for v in values], leaf)
-                                 for f in fields(first) if f.name not in ("round", "reg_rounds")})
+                                 for f in fields(first) if f.name not in _SHARED})
     return leaf(values)
 
 
@@ -432,19 +441,23 @@ def row_of(state, j):
 
 def stack(learners) -> Learner:
     """Learners that started together and share a :func:`stack_key`, as one learner stepped as
-    the first one's family declares.  The stack's state holds one row per run in every field
-    but ``round`` and ``reg_rounds``, which the rows share; :func:`row_of` splits it."""
-    balls = BallConstraint(np.array([[lrn.mode.radius] for lrn in learners]))
-    advance = learners[0]._stacking.advance(learners, balls)
+    the first one's family declares, on their shared regularizer or on balls of one radius per
+    row.  The stack's state holds one row per run in every field but those that follow from
+    the round (``round``, ``reg_rounds``, ``weight_sum``), which the rows share; :func:`row_of`
+    splits it."""
+    mode = learners[0].mode
+    if isinstance(mode, BallConstraint):
+        mode = BallConstraint(np.array([[lrn.mode.radius] for lrn in learners]))
+    advance = learners[0]._stacking.advance(learners, mode)
     x = np.stack([lrn.x for lrn in learners])
     return Learner(_fieldwise([lrn.state for lrn in learners], np.stack), x, advance)
 
 
-def _exponentiated_rows(learners, balls):  # one ``eta`` per row, through the class's own step
+def _exponentiated_rows(learners, mode):  # one ``eta`` per row, through the class's own step
     one, step = learners[0].sched, learners[0]._step
     etas = np.array([[lrn.sched.eta] for lrn in learners])
     sched = _RowSchedule(one.geometry, etas, one.beta, one.epsilon0)
-    return lambda s, g, h, w: step(s, g, sched, balls, h, w)
+    return lambda s, g, h, w: step(s, g, sched, mode, h, w)
 
 
 class _Exponentiated(Learner):

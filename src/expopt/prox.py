@@ -65,7 +65,11 @@ class CompositeRegularizer:
             raise ValueError("regularizer weights must be finite and nonnegative")
 
     def scaled(self, weight: float) -> "CompositeRegularizer":
-        return CompositeRegularizer(self.l1 * weight, self.l2 * weight)
+        """The weights times ``weight``; :class:`NumericRangeError` if a product overflows."""
+        l1, l2 = self.l1 * weight, self.l2 * weight
+        if not (math.isfinite(l1) and math.isfinite(l2)):
+            raise NumericRangeError(f"regularizer weights scaled by {weight} overflow")
+        return CompositeRegularizer(l1, l2)
 
 
 def _check_radius(r) -> None:
@@ -117,6 +121,10 @@ def elastic_net_prox_from_log(log_scale, signs, reg: CompositeRegularizer, p: En
     Raises :class:`NumericRangeError` when an active entry (one above
     ``l1/alpha``, or NaN) is not finite, or the output would overflow.
     Only the active entries are checked: an inactive one maps to 0.
+
+    A stack ``(rows, d)``, with ``p.alpha`` a float or one per row ``(rows, 1)``,
+    gives each row bit for bit as that row alone: its Lambert solve stops at its
+    own iteration, and a row with no active entry is ``+0.0`` throughout.
     """
     log_scale = np.asarray(log_scale, dtype=float)
     signs = np.asarray(signs, dtype=float)
@@ -126,6 +134,9 @@ def elastic_net_prox_from_log(log_scale, signs, reg: CompositeRegularizer, p: En
     active = ~(log_scale <= threshold)
     if not np.any(active):
         return out
+    stacked = log_scale.ndim == 2
+    if stacked:  # each active entry's row's threshold
+        threshold = np.broadcast_to(threshold, log_scale.shape)[active]
 
     if reg.l2 == 0.0:
         excess = log_scale[active] - threshold
@@ -136,14 +147,23 @@ def elastic_net_prox_from_log(log_scale, signs, reg: CompositeRegularizer, p: En
     else:
         a = p.beta
         b = reg.l2 / p.alpha
+        if stacked:
+            b = np.broadcast_to(b, log_scale.shape)[active]
         # magnitude m solves ln(m/beta+1) + (l2/alpha)*m = log_scale - l1/alpha;
         # in Lambert form m = w0(a*b*exp(a*b - c))/b - a with the argument
         # kept in the log domain.
         s = np.log(a * b) + a * b - (threshold - log_scale[active])
         if not np.isfinite(s).all():
             raise NumericRangeError("elastic-net prox got a non-finite log scale")
-        w, _ = _w0_log_array(s)
+        if stacked:  # each row's active entries, in place, for a Newton stop per row
+            rows = np.zeros_like(log_scale)
+            rows[active] = s
+            w = _w0_log_array(rows, ~active)[0][active]
+        else:
+            w, _ = _w0_log_array(s)
         out[active] = np.maximum(w / b - a, 0.0)
+    if stacked:  # a row with no active entry keeps its +0.0: alone, no sign reaches it
+        return np.multiply(signs, out, out=out, where=active.any(axis=1, keepdims=True))
     return signs * out
 
 

@@ -10,8 +10,12 @@ over ``b`` directions, re-using a single evaluation of ``f(x)``: exactly
 perturbed points in direction order.  A rows oracle
 (:func:`two_point_grad_rows`) gets one call on the whole stack; a scalar
 oracle (:func:`two_point_grad`) gets ``b + 1`` calls, one per row in that
-order.  The weighted directions are summed in direction order, so the
-estimate is bit for bit that of a loop over the directions.  A non-finite
+order.  A caller that evaluates the points itself, such as one that scores
+the points of many estimates in one call, draws them with
+:func:`two_point_draw` and finishes the estimate from their values with
+:func:`two_point_finish`; the two make :func:`two_point_grad_rows`.  The
+weighted directions are summed in direction order, so the estimate is bit
+for bit that of a loop over the directions.  A non-finite
 oracle value raises :class:`~expopt.entropy.NumericRangeError` instead of
 becoming a NaN gradient.
 
@@ -36,6 +40,8 @@ __all__ = [
     "rademacher_config",
     "two_point_grad",
     "two_point_grad_rows",
+    "two_point_draw",
+    "two_point_finish",
 ]
 
 
@@ -84,28 +90,30 @@ def _directions(law: str, batch: int, dim: int, rng: np.random.Generator):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def two_point_grad_rows(f_rows, x, cfg: EstimatorConfig, rng: np.random.Generator) -> np.ndarray:
-    """Batch-averaged two-point gradient estimate from one oracle call.
-
-    Deterministic given the generator state.  Draws the directions, then
-    calls ``f_rows`` once on the stack ``(cfg.batch + 1, x.size)`` whose
-    row 0 is ``x`` and whose row ``i`` is ``x + mu * dirs[i - 1]``; it must
-    return the ``cfg.batch + 1`` values of the rows in order.  The sum over
-    directions runs row by row from zero, so the estimate equals, bit for
-    bit, that of a loop adding ``(f(x + mu*v) - f(x)) * v`` one direction
-    at a time.
-
-    Raises :class:`~expopt.entropy.NumericRangeError` when an oracle value is
-    not finite or the guarded arithmetic around the oracle call overflows, and
-    ``ValueError`` when the oracle returns other than one value per row.
-    """
+def two_point_draw(x, cfg: EstimatorConfig, rng: np.random.Generator):
+    """The points and directions of a two-point estimate at ``x``: draws the directions and
+    returns them with the stack ``(cfg.batch + 1, x.size)`` whose row 0 is ``x`` and whose
+    row ``i`` is ``x + mu * dirs[i - 1]``.  Raises :class:`~expopt.entropy.NumericRangeError`
+    when a point overflows."""
     x = np.asarray(x, dtype=float)
     with _range_guard():
         dirs = _directions(cfg.direction_law, cfg.batch, x.size, rng)
         points = np.empty((cfg.batch + 1, x.size))
         points[0] = x
         np.add(x, cfg.mu * dirs, out=points[1:])
-    values = np.asarray(f_rows(points), dtype=float)
+    return points, dirs
+
+
+def two_point_finish(values, dirs, cfg: EstimatorConfig) -> np.ndarray:
+    """The estimate from the oracle's ``values`` at the points that :func:`two_point_draw`
+    gave with ``dirs``, in their order.  The sum over directions runs row by row from zero, so
+    the estimate equals, bit for bit, that of a loop adding ``(f(x + mu*v) - f(x)) * v`` one
+    direction at a time.
+
+    Raises :class:`~expopt.entropy.NumericRangeError` when a value is not finite or the
+    guarded arithmetic overflows, and ``ValueError`` for other than one value per point.
+    """
+    values = np.asarray(values, dtype=float)
     if values.shape != (cfg.batch + 1,):
         raise ValueError(f"oracle returned shape {values.shape} for {cfg.batch + 1} rows")
     with _range_guard():
@@ -114,9 +122,25 @@ def two_point_grad_rows(f_rows, x, cfg: EstimatorConfig, rng: np.random.Generato
             raise NumericRangeError("two-point estimate got a non-finite oracle value")
         # a zero first row, then an accumulate down the rows: the sequential
         # order of a loop (an axis-0 add.reduce sums a single column pairwise)
-        terms = np.zeros((cfg.batch + 1, x.size))
+        terms = np.zeros((cfg.batch + 1, dirs.shape[1]))
         np.multiply(diffs[:, None], dirs, out=terms[1:])
         return (cfg.delta / (cfg.mu * cfg.batch)) * np.add.accumulate(terms, axis=0)[-1]
+
+
+def two_point_grad_rows(f_rows, x, cfg: EstimatorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Batch-averaged two-point gradient estimate from one oracle call.
+
+    Deterministic given the generator state.  Draws the points
+    (:func:`two_point_draw`), calls ``f_rows`` once on their stack, which must
+    return the ``cfg.batch + 1`` values of the rows in order, and finishes the
+    estimate from them (:func:`two_point_finish`).
+
+    Raises :class:`~expopt.entropy.NumericRangeError` when an oracle value is
+    not finite or the guarded arithmetic around the oracle call overflows, and
+    ``ValueError`` when the oracle returns other than one value per row.
+    """
+    points, dirs = two_point_draw(x, cfg, rng)
+    return two_point_finish(f_rows(points), dirs, cfg)
 
 
 def two_point_grad(f, x, cfg: EstimatorConfig, rng: np.random.Generator) -> np.ndarray:

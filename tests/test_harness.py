@@ -357,9 +357,11 @@ class TestBlackbox:
         clean = streams.BlackboxComposite.smooth
 
         def smooth(self, x):
-            # finite for the first 15 evaluated points, NaN for every later
-            # one: the first 5 rounds of the first variant (a 2-point
-            # estimator stack and 1 objective point a round at batch 1)
+            # finite for the first 15 evaluated points, NaN for every later one.  The
+            # acc_exp_md stack plays first: each round one call on its two rows' points, the
+            # 2 of the batch-1 row, then the 4 of the batch-3 row (T = 9), whose row 0 is also
+            # its objective point.  Round 3's call holds points 12-17: the batch-1 row's 12 and
+            # 13 are finite, the batch-3 row's 14-17 are not from 15 on.
             first, rows = points[0], len(x) if np.ndim(x) == 2 else 1
             points[0] += rows
             values = clean(self, x)
@@ -378,10 +380,18 @@ class TestBlackbox:
         assert sorted(f.algorithm for f in failures) == sorted(labels)
         assert all("non-finite oracle value" in f.error for f in failures)
         rounds = {f.algorithm: f.round for f in failures}
-        assert rounds.pop("acc_exp_md@b1") == 6
+        # the NaN at point 15 ends the batch-3 row alone, at round 3; the batch-1 row plays
+        # on alone until its own points turn NaN at round 4, and every later run at round 1
+        assert rounds.pop("acc_exp_md@bsqrtT") == 3
+        assert rounds.pop("acc_exp_md@b1") == 4
         assert set(rounds.values()) == {1}
-        assert [r.round for r in records] == [1, 2, 3, 4, 5]
-        assert all(r.algorithm == "acc_exp_md@b1" and math.isfinite(r.value) for r in records)
+        # three rounds of the exp_md stack and its batch-1 row's fourth, then one round of the
+        # acc_exp_ftrl stack (2 + 4 points) and of the diagonal one (2 + 2 + 4 + 4)
+        assert points[0] == 3 * 6 + 2 + 6 + 12
+        assert [(r.algorithm, r.round) for r in records] == (
+            [("acc_exp_md@b1", t) for t in (1, 2, 3)] + [("acc_exp_md@bsqrtT", t) for t in (1, 2)]
+        )
+        assert all(math.isfinite(r.value) for r in records)
 
     def test_nan_in_a_middle_row_of_a_stack_fails_that_variant_at_that_round(
         self, monkeypatch
@@ -399,14 +409,18 @@ class TestBlackbox:
 
         def smooth(self, x):
             values = clean(self, x)
-            if np.ndim(x) == 2 and len(x) == 4:  # a sqrt(T) stack: batch 3 at T = 9
+            # each algorithm's two variants are one stack, scored by one call a round on the
+            # 2 points of the batch-1 row and then the 4 of the batch-3 row (T = 9)
+            if np.ndim(x) == 2 and len(x) == 6:
                 stacks[0] += 1
-                if stacks[0] == 9 + 4:  # round 4 of the second sqrt(T) variant
-                    values[2] = np.nan
+                if stacks[0] == 9 + 4:  # round 4 of the second stack, acc_exp_ftrl's
+                    values[2 + 2] = np.nan  # a middle point of the batch-3 row's estimate
             return values
 
         monkeypatch.setattr(streams.BlackboxComposite, "smooth", smooth)
         records, failures = run_experiment(spec)
+        # from round 5 the batch-1 row of acc_exp_ftrl plays on alone, 2 points a call
+        assert stacks[0] == 3 * 9 - 5
         assert [(f.algorithm, f.round) for f in failures] == [("acc_exp_ftrl@bsqrtT", 4)]
         assert "non-finite oracle value" in failures[0].error
         kept = [r for r in clean_records if r.algorithm != "acc_exp_ftrl@bsqrtT" or r.round < 4]

@@ -19,6 +19,7 @@ from expopt import (
     SpectralExpFtrl,
     SpectralExpMd,
     SpectralSchedule,
+    learners,
     mirror_map_inv,
 )
 from expopt.accelerate import Accelerator
@@ -558,6 +559,25 @@ def test_an_accumulated_reg_weight_that_overflows_is_a_numeric_error(name):
     with pytest.raises(NumericRangeError):
         learner.step(np.ones(4), reg_weight=1e308)
     assert learner.state is state
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("cls", [ExpMd, ExpFtrl, AdaGrad, AdaFtrl])
+def test_a_regularizer_whose_scaling_overflows_is_a_numeric_error(cls, rows):
+    # l1 * 1e308 overflows: alone, as a Python float product that trips no guard, and stacked
+    def make():
+        mode = CompositeRegularizer(2.0, 0.5)
+        return cls(ScheduleParams(3, 1.0), mode=mode) if cls in (ExpMd, ExpFtrl) else cls(
+            3, mode=mode)
+
+    learner = make() if rows is None else learners.stack([make() for _ in range(rows)])
+    g = np.ones(learner.x.shape)
+    learner.step(0.5 * g)
+    state, x = learner.state, learner.x.copy()
+    with pytest.raises(NumericRangeError):
+        learner.step(g, reg_weight=1e308)
+    assert learner.state is state
+    assert learner.x.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("algorithms", [("exp_md", "adagrad"), ("eg_pm",)])
