@@ -23,7 +23,7 @@ for radius_mode in ("known", "half", "double"):
         algorithms=ALGOS,
         seed=7,
     )
-    records, failures = run_experiment(spec, threads=4)
+    records, failures = run_experiment(spec)
     finals = final_values(records)
     print(f"\nradius mode: {radius_mode} (d={spec.dim}, T={spec.horizon}, {spec.trials} trials)")
     for algo in sorted(finals, key=lambda a: np.mean(list(finals[a].values()))):
@@ -35,7 +35,7 @@ spec = ExperimentSpec(
     kind="logistic", dim=200, horizon=800, trials=10, sparsity=0.99,
     radius_mode="known", algorithms=("exp_ftrl",), seed=7,
 )
-records, _ = run_experiment(spec, threads=4)
+records, _ = run_experiment(spec)
 _, mean, std = aggregate_mean_std(records)["exp_ftrl"]
 for t in (50, 200, 400, 800):
     print(f"  t={t:4d}: regret {mean[t - 1]:7.2f} +- {std[t - 1]:5.2f}")

@@ -40,7 +40,7 @@ spec = ExperimentSpec(
     algorithms=("spectral_exp_md", "spectral_exp_ftrl", "adagrad", "adaftrl"),
     seed=7,
 )
-records, _ = run_experiment(spec, threads=4)
+records, _ = run_experiment(spec)
 finals = final_values(records)
 for algo in sorted(finals, key=lambda a: np.mean(list(finals[a].values()))):
     vals = np.array(list(finals[algo].values()))

@@ -34,7 +34,7 @@ spec = ExperimentSpec(
     algorithms=("acc_exp_md", "acc_exp_ftrl", "acc_adagrad", "acc_adaftrl"),
     seed=7,
 )
-records, _ = run_experiment(spec, threads=3)
+records, _ = run_experiment(spec)
 finals = final_values(records)
 print("  final objective values (lower is better; b=1 is the high-variance run):")
 for algo in sorted(finals, key=lambda a: np.mean(list(finals[a].values()))):

@@ -168,14 +168,17 @@ def _run(args, blas: dict | None) -> int:
     meta_path = write_metadata(spec, args.out, failures, __version__, blas=blas)
     print(f"wrote {len(records)} records to {args.out} (metadata: {meta_path})")
 
+    # a failed run's last value is not final: average the runs without a failure
+    failed = {(f.algorithm, f.trial) for f in failures}
     finals = final_values(records)
-    for algo in sorted(finals):
-        vals = list(finals[algo].values())
-        mean = sum(vals) / len(vals)
-        print(f"  {algo:<24} mean final value {mean:.4f} over {len(vals)} trial(s)")
+    for algo in sorted(finals.keys() | {a for a, _ in failed}):
+        vals = [v for trial, v in finals.get(algo, {}).items() if (algo, trial) not in failed]
+        lost = sum(a == algo for a, _ in failed)
+        mean = f"mean final value {sum(vals) / len(vals):.4f}" if vals else "no final value"
+        note = f", {lost} failed" if lost else ""
+        print(f"  {algo:<24} {mean} over {len(vals)} trial(s){note}")
 
     # success requires at least one (algorithm, trial) pair without a failure
-    failed = {(f.algorithm, f.trial) for f in failures}
     if failures and not {(r.algorithm, r.trial) for r in records} - failed:
         print("all trials failed numerically", file=sys.stderr)
         return 3

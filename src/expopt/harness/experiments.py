@@ -492,7 +492,9 @@ def final_values(records) -> dict:
 def aggregate_mean_std(records):
     """Per-round mean and standard deviation across trials.
 
-    Returns {algorithm: (rounds, mean, std)} with population std.
+    Returns {algorithm: (rounds, mean, std)} with population std.  An algorithm's curves are
+    cut to its shortest trial, so a failed trial, whose rows end before its failure, cuts them
+    all to the rounds it recorded.
     """
     grouped: dict = {}
     for r in records:

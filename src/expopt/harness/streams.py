@@ -7,6 +7,10 @@ Three problem families, all deterministic given a numpy Generator:
 * a black-box composite: a hinge over convex quadratics plus elastic net,
   standing in for expensive model-specific losses.
 
+The logistic and multitask streams are drawn a block of rounds at a time;
+a budget that holds a whole stream draws it as one block.  Each loss is an
+oracle: the loss and its gradient from one call.
+
 The multitask loss also has a stacked form, ``multitask_loss_grad.rows``,
 which scores the rounds of a stack of runs in one call, each row bit for
 bit the lone call.  The logistic loss has none: at 2-4 rows, the stacks of
@@ -25,18 +29,11 @@ import numpy as np
 from ..prox import CompositeRegularizer
 
 __all__ = [
-    "LogisticStream",
-    "MultitaskStream",
     "BlackboxComposite",
-    "gen_logistic_stream",
     "logistic_blocks",
-    "gen_multitask_stream",
     "multitask_blocks",
     "gen_blackbox_problem",
-    "logistic_loss",
-    "logistic_grad",
     "logistic_loss_grad",
-    "multitask_loss",
     "multitask_loss_grad",
 ]
 
@@ -58,15 +55,6 @@ def _sigmoid_scalar(m: float) -> float:
     return em / (1.0 + em)
 
 
-@dataclass(frozen=True)
-class LogisticStream:
-    """Ground truth ``w_star`` plus the full (features, labels) stream."""
-
-    w_star: np.ndarray
-    features: np.ndarray  # (horizon, dim)
-    labels: np.ndarray  # (horizon,), values in {-1, +1}
-
-
 # Feature bytes of the logistic blocks a spec holds at once, shared by its trials,
 # which advance together: 16 rows at d=20000 and 640 at d=500 for one trial, 8 and
 # 320 rows each for two.  The runs switch learners at each block, which cost 8% of
@@ -77,13 +65,21 @@ BLOCK_BYTES = 2_560_000
 def logistic_blocks(
     dim: int, horizon: int, sparsity: float, rng: np.random.Generator, budget: int = BLOCK_BYTES
 ):
-    """``(w_star, blocks)``: :func:`gen_logistic_stream` drawn a block of rows at a time.
+    """``(w_star, blocks)``: a sparse logit stream of ``horizon`` rounds in ``dim`` features,
+    drawn a block of rows at a time.
 
-    ``blocks`` yields ``(features, labels, w_star's losses)``, bit for bit: labels come from a
-    copy of ``rng`` advanced past the ``horizon * dim`` feature draws.  A block is the most rows
-    within ``budget`` bytes of features, a multiple of 4 and at least 4: OpenBLAS's gemv groups
-    rows by 4 and takes ddot for one row, so a lone last row joins the block before it, and the
-    one row of a horizon-1 stream takes :func:`_fixed_order_dot`.
+    ``w_star`` has ``ceil((1 - sparsity) * dim)`` nonzero coordinates, at places drawn without
+    replacement, each uniform on [-1, 1].  A round's features ``x`` are uniform on [-1, 1], and
+    its label is +1 with probability ``sigmoid(w_star . x)``, else -1.  ``blocks`` yields
+    ``(features, labels, w_star's losses)``.  Labels come from a copy of ``rng`` advanced past
+    the ``horizon * dim`` feature draws, so every budget draws the same features and, at one
+    BLAS thread, the same labels and losses, bit for bit; on more threads a gemv of more rows
+    than the default budget's may sum in another order.  The drawn blocks leave ``rng`` past
+    the features, where the labels' draws begin.  A block is the most rows within ``budget``
+    bytes of features, a multiple of 4 and at least 4: OpenBLAS's gemv groups rows by 4 and
+    takes ddot for one row, so a lone last row joins the block before it, and the one row of a
+    horizon-1 stream takes :func:`_fixed_order_dot`.  A budget of ``8 * dim * (horizon + 2)``
+    bytes or more draws the stream as one block.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError("sparsity must lie in [0, 1]")
@@ -109,20 +105,6 @@ def logistic_blocks(
             yield features, labels, np.logaddexp(0.0, -(labels * margins))
 
     return w_star, blocks()
-
-
-def gen_logistic_stream(
-    dim: int, horizon: int, sparsity: float, rng: np.random.Generator
-) -> LogisticStream:
-    """Sparse logit stream: ``ceil((1 - sparsity) * dim)`` nonzero truth.
-
-    Nonzero coordinates and feature vectors are uniform on [-1, 1]; labels
-    are +1 with probability ``sigmoid(w_star . x)``.
-    """
-    w_star, blocks = logistic_blocks(dim, horizon, sparsity, rng)
-    features, labels, _ = zip(*blocks)
-    rng.random(horizon)  # skip the label draws: rng ends as after one draw of each
-    return LogisticStream(w_star, np.concatenate(features), np.concatenate(labels))
 
 
 # OpenBLAS computes a ddot of at most this many elements on one thread; above
@@ -152,25 +134,6 @@ def logistic_loss_grad(w, x, y):
     return loss, (-y * _sigmoid_scalar(-m)) * x
 
 
-def logistic_loss(w, x, y) -> float:
-    """ln(1 + exp(-y * w.x)) evaluated stably."""
-    return logistic_loss_grad(w, x, y)[0]
-
-
-def logistic_grad(w, x, y) -> np.ndarray:
-    return logistic_loss_grad(w, x, y)[1]
-
-
-@dataclass(frozen=True)
-class MultitaskStream:
-    """Low-rank truth ``w_star`` (dim x tasks) with per-task logit streams."""
-
-    w_star: np.ndarray
-    singular_values: np.ndarray  # tasks entries; the first min(dim, tasks) are w_star's
-    features: np.ndarray  # (horizon, tasks, dim)
-    labels: np.ndarray  # (horizon, tasks)
-
-
 def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
@@ -180,12 +143,21 @@ def multitask_blocks(
     dim: int, tasks: int, rank: int, horizon: int, rng: np.random.Generator,
     budget: int = BLOCK_BYTES,
 ):
-    """``(w_star, singular_values, blocks)``: :func:`gen_multitask_stream` a block at a time.
+    """``(w_star, singular_values, blocks)``: a stream of ``horizon`` rounds of ``tasks``
+    correlated logit tasks in ``dim`` features, drawn a block of rounds at a time.
 
-    ``blocks`` yields ``(features, labels, w_star's losses)`` of the most rounds within
-    ``budget`` bytes of features, at least one, bit for bit: labels come from a copy of ``rng``
-    advanced past the ``horizon * tasks * dim`` feature draws.  A round's loss is the sum of
-    its tasks' losses, from the margins that drew its labels.
+    ``w_star = U diag(sigma) V`` (``dim x tasks``; task ``k``'s parameter is its column ``k``)
+    has exact rank ``rank``.  ``U`` and ``V`` are random orthogonal.  ``singular_values``, the
+    ``sigma``, has ``tasks`` entries: the first ``rank`` uniform on [0, 10], the rest 0, and
+    the first ``min(dim, tasks)`` are ``w_star``'s spectrum.  A round's features are ``(tasks,
+    dim)``, uniform on [-1, 1]; task ``k``'s label is +1 with probability ``sigmoid(w_k . x_k)``
+    for ``w_k = w_star[:, k]``, else -1.  ``blocks`` yields ``(features, labels, w_star's
+    losses)`` of the most rounds within ``budget`` bytes of features, at least one, so a budget
+    of ``8 * horizon * tasks * dim`` bytes or more draws the stream as one block.  Labels come
+    from a copy of ``rng`` advanced past the ``horizon * tasks * dim`` feature draws, so every
+    budget gives the same stream, bit for bit; the drawn blocks leave ``rng`` past the
+    features, where the labels' draws begin.  A round's loss is the sum of its tasks' losses,
+    from the margins that drew its labels.
     """
     if rank > min(dim, tasks):
         raise ValueError("rank cannot exceed min(dim, tasks)")
@@ -210,20 +182,6 @@ def multitask_blocks(
     return w_star, sigma, blocks()
 
 
-def gen_multitask_stream(
-    dim: int, tasks: int, rank: int, horizon: int, rng: np.random.Generator
-) -> MultitaskStream:
-    """Correlated tasks: ``w_star = U diag(sigma) V`` of exact rank ``rank``.
-
-    ``sigma`` has ``rank`` nonzero entries uniform on [0, 10]; the per-task
-    parameters are the columns of ``w_star``.
-    """
-    w_star, sigma, blocks = multitask_blocks(dim, tasks, rank, horizon, rng)
-    features, labels, _ = zip(*blocks)
-    rng.random((horizon, tasks))  # skip the label draws: rng ends as after one draw of each
-    return MultitaskStream(w_star, sigma, np.concatenate(features), np.concatenate(labels))
-
-
 def multitask_loss_grad(w, features_t, labels_t):
     """Sum of the per-task logistic losses at round t, and its gradient.
 
@@ -245,11 +203,6 @@ def _multitask_loss_grad_rows(w, features, labels):
 
 
 multitask_loss_grad.rows = _multitask_loss_grad_rows
-
-
-def multitask_loss(w, features_t, labels_t) -> float:
-    """Sum of the per-task logistic losses at round t."""
-    return multitask_loss_grad(w, features_t, labels_t)[0]
 
 
 def _from_smooth(problem, x, value) -> float:

@@ -125,8 +125,8 @@ def _fill_schedule(sched, *names) -> None:
     for name, d in zip(names, dims):
         object.__setattr__(sched, name, d)
     k = min(dims)
-    if not sched.radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < sched.radius < math.inf:  # the ball's rule
+        raise ValueError(f"radius must be positive and finite, got {sched.radius}")
     if sched.beta is None:
         object.__setattr__(sched, "beta", 1.0 / k)
     if sched.eta is None:

@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from expopt import NumericRangeError
-from expopt.harness import ExperimentSpec, TrialFailure, gen_logistic_stream, run_experiment
-from expopt.harness import gen_multitask_stream, registry, streams
+from expopt.harness import ExperimentSpec, TrialFailure, registry, run_experiment, streams
 from expopt.harness.streams import BLOCK_BYTES, _fixed_order_dot, _sigmoid, logistic_blocks
 from expopt.harness.streams import multitask_blocks
+from whole_stream import WHOLE_STREAM
 
 
 def materialised(dim, horizon, sparsity, seed):
-    """``(w_star, features, labels, comparator losses, rng)``, each drawn in one call.
+    """``(w_star, features, labels, comparator losses)``, each drawn in one call.
 
     One row's margin is the fixed-order dot, whose bits do not depend on the
     BLAS threads; from two rows on, one-thread bits are the reference.
@@ -37,7 +37,7 @@ def materialised(dim, horizon, sparsity, seed):
     features = rng.uniform(-1.0, 1.0, size=(horizon, dim))
     xw = features @ w_star if horizon != 1 else np.array([_fixed_order_dot(features[0], w_star)])
     labels = np.where(rng.random(horizon) < _sigmoid(xw), 1.0, -1.0)
-    return w_star, features, labels, np.logaddexp(0.0, -(labels * xw)), rng
+    return w_star, features, labels, np.logaddexp(0.0, -(labels * xw))
 
 
 def block_rows(dim):
@@ -46,12 +46,13 @@ def block_rows(dim):
     return len(next(blocks)[0])
 
 
-def joined(dim, horizon, sparsity, seed):
-    """:func:`materialised`, from the blocks of :func:`logistic_blocks`."""
+def joined(dim, horizon, sparsity, seed, budget):
+    """:func:`materialised`, from the blocks of :func:`logistic_blocks` within ``budget``."""
     rng = np.random.default_rng(seed)
-    w_star, blocks = logistic_blocks(dim, horizon, sparsity, rng)
+    w_star, blocks = logistic_blocks(dim, horizon, sparsity, rng, budget)
     blocks = list(blocks)
     assert all(len(x) % 4 == 0 for x, _, _ in blocks[:-1])
+    assert budget != WHOLE_STREAM or len(blocks) == 1
     return (w_star, *(np.concatenate(column) for column in zip(*blocks)))
 
 
@@ -66,24 +67,23 @@ def test_a_block_is_a_multiple_of_4_rows_within_the_byte_budget(dim):
     "blocks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (0, 61)],
     ids=["0", "1", "block-1", "block", "block+1", "61"],
 )
-def test_blocks_are_the_materialised_stream_bit_for_bit(pin_blas, dim, blocks, extra):
+# the blocks of the default budget give the reference's bits at either thread count; the one
+# block of the whole stream gives them at one thread (a gemv of that many rows may not at two)
+@pytest.mark.parametrize("budget,thread_counts", [(BLOCK_BYTES, (1, 2)), (WHOLE_STREAM, (1,))],
+                         ids=["default", "whole"])
+def test_blocks_are_the_materialised_stream_bit_for_bit(
+    pin_blas, dim, blocks, extra, budget, thread_counts
+):
     horizon = blocks * block_rows(dim) + extra
     seed = dim + horizon
     pin_blas(1)
     ref = materialised(dim, horizon, 0.99, seed)
-    for threads in (1, 2):
+    for threads in thread_counts:
         pin_blas(threads)
-        # the blocks give the reference's bits at either thread count (one call
-        # of two threads may not)
-        got = joined(dim, horizon, 0.99, seed)
-        for want, have in zip(ref[:4], got[:4]):
+        got = joined(dim, horizon, 0.99, seed, budget)
+        for want, have in zip(ref, got):
             assert want.shape == have.shape
             assert want.tobytes() == have.tobytes()
-        rng = np.random.default_rng(seed)
-        stream = gen_logistic_stream(dim, horizon, 0.99, rng)
-        assert stream.features.tobytes() == got[1].tobytes()
-        assert stream.labels.tobytes() == got[2].tobytes()
-        assert rng.bit_generator.state == ref[4].bit_generator.state
 
 
 def test_a_lone_last_row_joins_the_block_before_it():
@@ -159,7 +159,7 @@ def test_a_failure_inside_a_block_leaves_the_other_run_untouched(monkeypatch):
 
 
 def materialised_multitask(dim, tasks, rank, horizon, seed):
-    """``(w_star, sigma, features, labels, comparator losses, rng)``, each drawn in one call."""
+    """``(w_star, sigma, features, labels, comparator losses)``, each drawn in one call."""
     rng = np.random.default_rng(seed)
     u, v = (q * np.sign(np.diag(r)) for q, r in (
         np.linalg.qr(rng.standard_normal((k, k))) for k in (dim, tasks)))
@@ -170,16 +170,16 @@ def materialised_multitask(dim, tasks, rank, horizon, seed):
     xw = np.einsum("tkd,dk->tk", features, w_star)
     labels = np.where(rng.random((horizon, tasks)) < _sigmoid(xw), 1.0, -1.0)
     comp_losses = np.sum(np.logaddexp(0.0, -(labels * xw)), axis=1)
-    return w_star, sigma, features, labels, comp_losses, rng
+    return w_star, sigma, features, labels, comp_losses
 
 
 @pytest.mark.parametrize("dim,tasks,rank", [(20, 5, 2), (6, 3, 3), (7, 1, 1)])
 @pytest.mark.parametrize("horizon", [0, 1, 1000])
-@pytest.mark.parametrize("rows", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize("rows", [1, 7, None, "whole"], ids=["1", "7", "default", "whole"])
 def test_multitask_blocks_are_the_materialised_stream_bit_for_bit(dim, tasks, rank, horizon, rows):
     seed = dim + horizon
-    *ref, ref_rng = materialised_multitask(dim, tasks, rank, horizon, seed)
-    budget = BLOCK_BYTES if rows is None else rows * 8 * tasks * dim
+    ref = materialised_multitask(dim, tasks, rank, horizon, seed)
+    budget = {None: BLOCK_BYTES, "whole": WHOLE_STREAM}.get(rows) or rows * 8 * tasks * dim
     w_star, sigma, blocks = multitask_blocks(dim, tasks, rank, horizon,
                                              np.random.default_rng(seed), budget)
     blocks = list(blocks)
@@ -189,15 +189,10 @@ def test_multitask_blocks_are_the_materialised_stream_bit_for_bit(dim, tasks, ra
     )
     if rows == 7 and horizon == 1000:
         assert len(blocks[-1][0]) == 6
+    assert rows != "whole" or len(blocks) == 1
     got = (w_star, sigma, *(np.concatenate(column) for column in zip(*blocks)))
     for want, have in zip(ref, got):
         assert want.shape == have.shape and want.tobytes() == have.tobytes()
-    rng = np.random.default_rng(seed)
-    stream = gen_multitask_stream(dim, tasks, rank, horizon, rng)
-    for want, have in zip(ref, [stream.w_star, stream.singular_values, stream.features,
-                                stream.labels]):
-        assert want.shape == have.shape and want.tobytes() == have.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_the_trials_of_a_multitask_run_share_the_block_budget():

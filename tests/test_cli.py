@@ -135,6 +135,36 @@ class TestExitCodes:
         code = main(["logistic", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert code == 3
 
+    def test_the_summary_averages_only_the_runs_without_a_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import numpy as np
+
+        from expopt import NumericRangeError
+        from expopt.harness import ExperimentSpec, final_values, run_experiment, streams
+        from whole_stream import whole_stream
+
+        cfg = small_config(tmp_path, dim=20, horizon=50, algorithms=["exp_md"])
+        spec = ExperimentSpec.from_dict(json.loads(cfg.read_text()))
+        finals = final_values(run_experiment(spec)[0])["exp_md"]
+        seed = np.random.SeedSequence(spec.seed).spawn(spec.trials)[0]
+        features = whole_stream(streams.logistic_blocks, 20, 50, spec.sparsity,
+                                np.random.default_rng(seed))[1]
+        oracle = streams.logistic_loss_grad
+
+        def raising(w, x, y):  # trial 0's round 3
+            if np.array_equal(x, features[2]):
+                raise NumericRangeError("injected")
+            return oracle(w, x, y)
+
+        monkeypatch.setattr(streams, "logistic_loss_grad", raising)
+        out = tmp_path / "o.csv"
+        assert main(["logistic", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = capsys.readouterr().out.splitlines()[1]
+        # the failed run's value at round 2 is no final value: trial 1's alone is the mean
+        assert summary.split() == ["exp_md", "mean", "final", "value", f"{finals[1]:.4f}",
+                                   "over", "1", "trial(s),", "1", "failed"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -15,94 +15,91 @@ from expopt.harness import (
     ExperimentSpec,
     aggregate_mean_std,
     final_values,
-    gen_logistic_stream,
-    gen_multitask_stream,
-    logistic_grad,
-    logistic_loss,
-    multitask_loss,
+    logistic_loss_grad,
+    multitask_loss_grad,
     run_experiment,
     write_csv,
     write_metadata,
 )
 from expopt.harness import experiments as exp_mod
 from expopt.harness import registry, streams
-from expopt.harness.streams import logistic_blocks
+from expopt.harness.streams import logistic_blocks, multitask_blocks
+from whole_stream import whole_stream
 
 
-class TestLogisticStream:
+class TestLogisticBlocks:
     def test_exact_sparsity_rounding(self):
         rng = np.random.default_rng(80)
-        stream = gen_logistic_stream(100, 10, 0.99, rng)
-        assert np.count_nonzero(stream.w_star) == 1
+        w_star, *_ = whole_stream(logistic_blocks, 100, 10, 0.99, rng)
+        assert np.count_nonzero(w_star) == 1
 
     def test_labels_are_signs(self):
         rng = np.random.default_rng(81)
-        stream = gen_logistic_stream(10, 200, 0.5, rng)
-        assert set(np.unique(stream.labels)) <= {-1.0, 1.0}
+        _, _, labels, _ = whole_stream(logistic_blocks, 10, 200, 0.5, rng)
+        assert set(np.unique(labels)) <= {-1.0, 1.0}
 
     def test_fair_labels_for_zero_truth(self):
         rng = np.random.default_rng(82)
-        stream = gen_logistic_stream(20, 10_000, 1.0, rng)
-        assert np.count_nonzero(stream.w_star) == 0
-        freq = np.mean(stream.labels == 1.0)
+        w_star, _, labels, _ = whole_stream(logistic_blocks, 20, 10_000, 1.0, rng)
+        assert np.count_nonzero(w_star) == 0
+        freq = np.mean(labels == 1.0)
         assert abs(freq - 0.5) <= 0.02
 
     def test_loss_matches_log1p_form(self):
         rng = np.random.default_rng(83)
-        stream = gen_logistic_stream(8, 50, 0.5, rng)
+        _, features, labels, _ = whole_stream(logistic_blocks, 8, 50, 0.5, rng)
         w = rng.uniform(-1, 1, 8)
         for t in range(50):
-            m = stream.labels[t] * float(np.dot(w, stream.features[t]))
+            m = labels[t] * float(np.dot(w, features[t]))
             alt = math.log1p(math.exp(-m)) if m >= 0 else -m + math.log1p(math.exp(m))
-            assert logistic_loss(w, stream.features[t], stream.labels[t]) == pytest.approx(
-                alt, abs=1e-12
-            )
+            loss = logistic_loss_grad(w, features[t], labels[t])[0]
+            assert loss == pytest.approx(alt, abs=1e-12)
 
     def test_grad_matches_finite_difference(self):
         rng = np.random.default_rng(84)
-        stream = gen_logistic_stream(5, 10, 0.4, rng)
+        _, features, labels, _ = whole_stream(logistic_blocks, 5, 10, 0.4, rng)
         w = rng.uniform(-0.5, 0.5, 5)
-        g = logistic_grad(w, stream.features[0], stream.labels[0])
+        g = logistic_loss_grad(w, features[0], labels[0])[1]
         h = 1e-6
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
             fd = (
-                logistic_loss(w + e, stream.features[0], stream.labels[0])
-                - logistic_loss(w - e, stream.features[0], stream.labels[0])
+                logistic_loss_grad(w + e, features[0], labels[0])[0]
+                - logistic_loss_grad(w - e, features[0], labels[0])[0]
             ) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-8)
 
 
-class TestMultitaskStream:
+class TestMultitaskBlocks:
     @pytest.mark.parametrize("dim,tasks,rank", [(12, 6, 3), (6, 12, 3)])
     def test_rank_and_spectrum(self, dim, tasks, rank):
         rng = np.random.default_rng(85)
-        stream = gen_multitask_stream(dim, tasks, rank, 5, rng)
-        s = np.linalg.svd(stream.w_star, compute_uv=False)
+        w_star, sigma, *_ = whole_stream(multitask_blocks, dim, tasks, rank, 5, rng)
+        s = np.linalg.svd(w_star, compute_uv=False)
         assert np.sum(s > 1e-8) == 3
-        drawn = np.sort(stream.singular_values)[::-1]
+        drawn = np.sort(sigma)[::-1]
         assert np.allclose(np.sort(s)[::-1][:3], drawn[:3], atol=1e-10)
 
     def test_nuclear_norm_equals_spectrum_sum(self):
         rng = np.random.default_rng(86)
-        stream = gen_multitask_stream(8, 4, 2, 3, rng)
-        s = np.linalg.svd(stream.w_star, compute_uv=False)
-        assert np.sum(s) == pytest.approx(np.sum(stream.singular_values), rel=1e-10)
+        w_star, sigma, *_ = whole_stream(multitask_blocks, 8, 4, 2, 3, rng)
+        s = np.linalg.svd(w_star, compute_uv=False)
+        assert np.sum(s) == pytest.approx(np.sum(sigma), rel=1e-10)
 
     def test_zero_rank_gives_fair_coins(self):
         rng = np.random.default_rng(87)
-        stream = gen_multitask_stream(6, 3, 0, 3000, rng)
-        assert np.allclose(stream.w_star, 0.0)
-        assert abs(np.mean(stream.labels == 1.0) - 0.5) <= 0.03
+        w_star, _, _, labels, _ = whole_stream(multitask_blocks, 6, 3, 0, 3000, rng)
+        assert np.allclose(w_star, 0.0)
+        assert abs(np.mean(labels == 1.0) - 0.5) <= 0.03
 
     def test_loss_is_sum_over_tasks(self):
         rng = np.random.default_rng(88)
-        stream = gen_multitask_stream(5, 3, 2, 4, rng)
+        _, _, features, labels, _ = whole_stream(multitask_blocks, 5, 3, 2, 4, rng)
         w = rng.uniform(-0.5, 0.5, (5, 3))
-        total = multitask_loss(w, stream.features[0], stream.labels[0])
+        total = multitask_loss_grad(w, features[0], labels[0])[0]
         manual = sum(
-            logistic_loss(w[:, i], stream.features[0][i], stream.labels[0][i]) for i in range(3)
+            logistic_loss_grad(w[:, i], features[0][i], labels[0][i])[0] for i in range(3)
         )
         assert total == pytest.approx(manual, rel=1e-12)
 
@@ -175,18 +172,16 @@ class TestRunExperiment:
         values = np.array([r.value for r in records])
         # replay the identical stream and learner to rebuild the cumulative sums
         from expopt import BallConstraint, ExpFtrl, ScheduleParams
-        from expopt.harness.streams import gen_logistic_stream
 
         rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
-        stream = gen_logistic_stream(10, 40, 0.6, rng)
-        radius = float(np.sum(np.abs(stream.w_star)))
+        w_star, features, labels, _ = whole_stream(logistic_blocks, 10, 40, 0.6, rng)
+        radius = float(np.sum(np.abs(w_star)))
         learner = ExpFtrl(ScheduleParams(10, radius), mode=BallConstraint(radius))
         cum, replay = 0.0, []
-        for t in range(40):
-            cum += logistic_loss(learner.x, stream.features[t], stream.labels[t]) - logistic_loss(
-                stream.w_star, stream.features[t], stream.labels[t]
-            )
-            learner.step(logistic_grad(learner.x, stream.features[t], stream.labels[t]))
+        for x, y in zip(features, labels):
+            loss, grad = logistic_loss_grad(learner.x, x, y)
+            cum += loss - logistic_loss_grad(w_star, x, y)[0]
+            learner.step(grad)
             replay.append(cum)
         assert np.allclose(values, replay, atol=1e-9)
 
@@ -291,7 +286,7 @@ class TestOutputs:
         with pytest.raises(ValueError, match="sparsity"):
             logistic_blocks(5, 5, 1.5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="rank"):
-            gen_multitask_stream(3, 2, 3, 5, np.random.default_rng(0))
+            multitask_blocks(3, 2, 3, 5, np.random.default_rng(0))
 
 
 class TestBlackbox:
@@ -481,20 +476,19 @@ class TestLogisticOracle:
             assert _sigmoid(m).tobytes() == two_branch(m).tobytes()
 
     def test_loss_grad_matches_array_sigmoid_formula(self):
-        from expopt.harness.streams import _sigmoid, logistic_loss_grad
+        from expopt.harness.streams import _sigmoid
 
         rng = np.random.default_rng(18)
-        stream = gen_logistic_stream(50, 300, 0.5, rng)
-        for t in range(300):
+        _, features, labels, _ = whole_stream(logistic_blocks, 50, 300, 0.5, rng)
+        for x, y in zip(features, labels):
             w = rng.normal(0.0, 10.0 ** rng.integers(-2, 3), 50)
-            x, y = stream.features[t], stream.labels[t]
             loss, grad = logistic_loss_grad(w, x, y)
             m = y * float(np.dot(w, x))
             assert loss == float(np.logaddexp(0.0, -m))
             expected = (-y * float(_sigmoid(np.array([-m]))[0])) * x
             assert grad.tobytes() == expected.tobytes()
-            assert logistic_loss(w, x, y) == loss
-            assert np.array_equal(logistic_grad(w, x, y), grad)
+            again = logistic_loss_grad(w, x, y)  # a second call gives the same bits
+            assert again[0] == loss and np.array_equal(again[1], grad)
 
 
 class TestAlgorithmNamesCheckedFirst:

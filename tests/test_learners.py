@@ -13,6 +13,7 @@ from expopt import (
     ExpMd,
     NumericRangeError,
     ScheduleParams,
+    SpectralSchedule,
     ftrl_init,
     ftrl_step,
     omd_init,
@@ -36,8 +37,11 @@ class TestSchedule:
     def test_validation(self, index):
         with pytest.raises(ValueError):
             ScheduleParams(dim=0, radius=1.0)
-        with pytest.raises(ValueError):
-            ScheduleParams(dim=3, radius=-1.0)
+        for radius in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                ScheduleParams(dim=3, radius=radius)
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                SpectralSchedule(3, 2, radius)
         for dim in (True, np.True_, 2.5, 3.0, "3"):  # a bool or a non-integer is no dimension
             with pytest.raises(TypeError, match="integers"):
                 ScheduleParams(dim, 1.0)

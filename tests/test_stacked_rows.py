@@ -27,8 +27,9 @@ from expopt.baselines import _diag_step, adaftrl_step, adagrad_step, diag_init
 from expopt.baselines import euclidean_nuclear_ball_project
 from expopt.harness import ExperimentSpec, RegretRecord, TrialFailure, run_experiment
 from expopt.harness import registry, streams
-from expopt.harness.streams import gen_logistic_stream, gen_multitask_stream, logistic_loss_grad
+from expopt.harness.streams import logistic_blocks, logistic_loss_grad, multitask_blocks
 from expopt.harness.streams import multitask_loss_grad
+from whole_stream import whole_stream
 
 FACTORS = {"known": 1.0, "half": 0.5, "double": 2.0}
 LEARNERS = {
@@ -44,13 +45,13 @@ def each_alone(spec):
     """The records of ``spec``, each ``(algorithm, trial)`` stepped alone on its whole stream."""
     records = []
     for trial, seed in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.trials)):
-        stream = gen_logistic_stream(spec.dim, spec.horizon, spec.sparsity,
-                                     np.random.default_rng(seed))
-        radius = FACTORS[spec.radius_mode] * float(np.sum(np.abs(stream.w_star))) or 1.0
-        comp_losses = np.logaddexp(0.0, -(stream.labels * (stream.features @ stream.w_star)))
+        w_star, features, labels, _ = whole_stream(logistic_blocks, spec.dim, spec.horizon,
+                                                   spec.sparsity, np.random.default_rng(seed))
+        radius = FACTORS[spec.radius_mode] * float(np.sum(np.abs(w_star))) or 1.0
+        comp_losses = np.logaddexp(0.0, -(labels * (features @ w_star)))
         for name in spec.algorithms:
             learner, cum = LEARNERS[name](spec.dim, radius), 0.0
-            for t, (x, y, comp) in enumerate(zip(stream.features, stream.labels, comp_losses)):
+            for t, (x, y, comp) in enumerate(zip(features, labels, comp_losses)):
                 loss, grad = logistic_loss_grad(learner.x, x, y)
                 cum += loss - comp
                 learner.step(grad)
@@ -101,7 +102,8 @@ def test_a_failure_inside_a_stack_ends_only_its_row(monkeypatch, inject, error):
     clean, no_failures = run_experiment(spec)
     assert not no_failures
     seed = np.random.SeedSequence(spec.seed).spawn(spec.trials)[1]
-    features = gen_logistic_stream(20, 40, spec.sparsity, np.random.default_rng(seed)).features
+    _, features, _, _ = whole_stream(logistic_blocks, 20, 40, spec.sparsity,
+                                     np.random.default_rng(seed))
     oracle, hits = streams.logistic_loss_grad, itertools.count(1)
 
     def injecting(w, x, y):  # trial 1's round k, first seen by its adagrad run
@@ -169,16 +171,17 @@ def each_matrix_run_alone(spec):
     ``euclidean_nuclear_ball_project``."""
     m, n, records = spec.dim, spec.tasks, []
     for trial, seed in enumerate(np.random.SeedSequence(spec.seed).spawn(spec.trials)):
-        stream = gen_multitask_stream(m, n, spec.rank, spec.horizon, np.random.default_rng(seed))
-        radius = FACTORS[spec.radius_mode] * float(np.sum(stream.singular_values)) or 1.0
-        margins = stream.labels * np.einsum("tkd,dk->tk", stream.features, stream.w_star)
+        w_star, sigma, features, labels, _ = whole_stream(
+            multitask_blocks, m, n, spec.rank, spec.horizon, np.random.default_rng(seed))
+        radius = FACTORS[spec.radius_mode] * float(np.sum(sigma)) or 1.0
+        margins = labels * np.einsum("tkd,dk->tk", features, w_star)
         comp_losses = np.sum(np.logaddexp(0.0, -margins), axis=1)
         for name in spec.algorithms:
             ball = BallConstraint(radius)
             learner = SPECTRAL.get(name, SpectralExpMd)(SpectralSchedule(m, n, radius), ball)
             step = adaftrl_step if name == "adaftrl" else adagrad_step
             state, x, cum = diag_init(m * n), np.zeros((m, n)), 0.0
-            for t, (f, y, comp) in enumerate(zip(stream.features, stream.labels, comp_losses)):
+            for t, (f, y, comp) in enumerate(zip(features, labels, comp_losses)):
                 if name in SPECTRAL:
                     x = learner.x
                 loss, grad = multitask_loss_grad(x, f, y)
@@ -239,7 +242,8 @@ def test_a_failure_inside_a_matrix_stack_ends_only_its_row(monkeypatch, inject, 
     clean, no_failures = run_experiment(spec)
     assert not no_failures
     seed = np.random.SeedSequence(spec.seed).spawn(spec.trials)[1]
-    features = gen_multitask_stream(6, 3, 2, horizon, np.random.default_rng(seed)).features
+    _, _, features, _, _ = whole_stream(multitask_blocks, 6, 3, 2, horizon,
+                                        np.random.default_rng(seed))
     oracle, hits = streams.multitask_loss_grad, itertools.count(1)
 
     def injecting(w, f, y):  # trial 1's round k, first seen by its adagrad row
@@ -395,16 +399,18 @@ def test_a_failure_inside_an_exponentiated_stack_ends_only_its_row(monkeypatch, 
     assert not no_failures
     seed = np.random.SeedSequence(spec.seed).spawn(spec.trials)[1]
     if kind == "logistic":
-        data = gen_logistic_stream(20, horizon, spec.sparsity, np.random.default_rng(seed))
+        _, features, _, _ = whole_stream(logistic_blocks, 20, horizon, spec.sparsity,
+                                         np.random.default_rng(seed))
         name, oracle = "logistic_loss_grad", streams.logistic_loss_grad
     else:
-        data = gen_multitask_stream(6, 3, 2, horizon, np.random.default_rng(seed))
+        _, _, features, _, _ = whole_stream(multitask_blocks, 6, 3, 2, horizon,
+                                            np.random.default_rng(seed))
         name, oracle = "multitask_loss_grad", streams.multitask_loss_grad
     hits = itertools.count(1)
 
     def injecting(w, f, y):  # trial 1's round k, first seen by its row of the first stack
         loss, grad = oracle(w, f, y)
-        if np.array_equal(f, data.features[k - 1]) and next(hits) == 1:
+        if np.array_equal(f, features[k - 1]) and next(hits) == 1:
             if inject == "gradient":
                 grad.flat[0] = np.nan
             else:
@@ -501,21 +507,23 @@ def test_an_oracle_error_ends_only_the_runs_of_its_trial(monkeypatch, kind, erro
     if kind == "logistic":
         spec = ExperimentSpec(kind="logistic", dim=20, horizon=horizon, trials=3, seed=11,
                               algorithms=("exp_md", "exp_ftrl", "adagrad", "adaftrl", "eg_pm"))
-        data = gen_logistic_stream(20, horizon, spec.sparsity, np.random.default_rng(seed))
+        _, features, _, _ = whole_stream(logistic_blocks, 20, horizon, spec.sparsity,
+                                         np.random.default_rng(seed))
         name, steps = "logistic_loss_grad", ("omd_step", "ftrl_step")
     else:
         spec = ExperimentSpec(kind="multitask", dim=6, tasks=3, rank=2, horizon=horizon,
                               trials=3, sparsity=0.0, seed=11,
                               algorithms=("spectral_exp_md", "spectral_exp_ftrl", "adagrad",
                                           "adaftrl"))
-        data = gen_multitask_stream(6, 3, 2, horizon, np.random.default_rng(seed))
+        _, _, features, _, _ = whole_stream(multitask_blocks, 6, 3, 2, horizon,
+                                            np.random.default_rng(seed))
         name, steps = "multitask_loss_grad", ("spectral_omd_step", "spectral_ftrl_step")
     clean, no_failures = run_experiment(spec)
     assert not no_failures
     oracle = getattr(streams, name)
 
     def raising(w, f, y):  # trial 1's round k, for every run
-        if np.array_equal(f, data.features[k - 1]):
+        if np.array_equal(f, features[k - 1]):
             raise error(f"oracle failed at round {k}")
         return oracle(w, f, y)
 
@@ -727,8 +735,8 @@ def test_a_fault_in_a_stacked_oracle_call_ends_the_runs_the_lone_oracle_ends(
     clean, no_failures = run_experiment(MULTITASK)
     assert not no_failures
     seed = np.random.SeedSequence(MULTITASK.seed).spawn(MULTITASK.trials)[trial]
-    features = gen_multitask_stream(6, 3, 2, MULTITASK.horizon,
-                                    np.random.default_rng(seed)).features[k - 1]
+    features = whole_stream(multitask_blocks, 6, 3, 2, MULTITASK.horizon,
+                            np.random.default_rng(seed))[2][k - 1]
     message = FAULTS[fault] or f"oracle failed at round {k}"
     with pytest.MonkeyPatch.context() as patch:  # each row alone, through the lone oracle
         patch.setattr(streams, "multitask_loss_grad",
